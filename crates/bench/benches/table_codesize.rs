@@ -3,12 +3,13 @@
 
 mod timing;
 
+use gc_safety::Observe;
 use gcbench::{codesize_table, collect};
 use timing::bench;
 use workloads::Scale;
 
 fn main() {
-    match collect(Scale::Tiny) {
+    match collect(Scale::Tiny, gc_safety::default_jobs(), &Observe::default()) {
         Ok(data) => {
             println!("\n=== E4: code size expansion ===");
             println!("{}", codesize_table(&data));

@@ -3,12 +3,13 @@
 
 mod timing;
 
+use gc_safety::Observe;
 use gcbench::{collect, postprocessor_table};
 use timing::bench;
 use workloads::Scale;
 
 fn main() {
-    match collect(Scale::Tiny) {
+    match collect(Scale::Tiny, gc_safety::default_jobs(), &Observe::default()) {
         Ok(data) => {
             println!("\n=== E5: after the peephole postprocessor ===");
             println!("{}", postprocessor_table(&data));

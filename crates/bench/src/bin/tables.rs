@@ -58,7 +58,7 @@
 //! machine. The document carries no wall-clock fields, so it is
 //! byte-identical at any `--jobs` and across cold/warm caches.
 
-use gc_safety::{JsonlSink, TraceHandle};
+use gc_safety::{JsonlSink, Observe, ProfHandle, SnapHandle, TraceHandle};
 use gcbench::*;
 use std::sync::Arc;
 use workloads::Scale;
@@ -157,7 +157,7 @@ fn main() {
             eprintln!("error: --jobs requires a value");
             std::process::exit(2);
         }
-        None => default_jobs(),
+        None => gc_safety::default_jobs(),
     };
     let trace = match trace_path {
         Some(path) => {
@@ -186,7 +186,13 @@ fn main() {
     // cells just like --prof does (the overhead is uniform across modes,
     // keeping the trajectory self-comparable).
     let prof_on = prof_path.is_some() || timeline_path.is_some() || bench_json_path.is_some();
-    let data = match collect_snapped_jobs(scale, &trace, prof_on, snap_dir.is_some(), jobs) {
+    let snap_on = snap_dir.is_some();
+    let observe = Observe {
+        trace,
+        prof: prof_on.then(ProfHandle::enabled).unwrap_or_default(),
+        snap: snap_on.then(SnapHandle::enabled).unwrap_or_default(),
+    };
+    let data = match collect(scale, jobs, &observe) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: {e}");
@@ -267,13 +273,11 @@ fn main() {
                 }
             }
             for r in 1..repeat {
-                let rerun = collect_instrumented_jobs(
-                    scale,
-                    &gc_safety::TraceHandle::disabled(),
-                    prof_on,
-                    jobs,
-                )
-                .and_then(|d| {
+                let untraced = Observe {
+                    prof: observe.prof.clone(),
+                    ..Observe::default()
+                };
+                let rerun = collect(scale, jobs, &untraced).and_then(|d| {
                     let m = gc_microbench(scale == Scale::Tiny);
                     gcwatch::stats::parse_cells(&bench_gc_json(&d, &m))
                 });
@@ -447,10 +451,10 @@ fn main() {
     // event per stage plus a total, so traces record how much of the run
     // the compilation cache absorbed. Emitted last: the counters cover
     // everything above, including the cache bench passes.
-    if trace.is_enabled() {
+    if observe.trace.is_enabled() {
         let stats = gc_safety::cache_stats();
         for s in stats.iter().chain(std::iter::once(&gccache::total(&stats))) {
-            trace.emit(|| {
+            observe.trace.emit(|| {
                 gc_safety::Event::new("cache", "stats")
                     .field("stage", s.stage)
                     .field("hits", s.hits)

@@ -18,8 +18,8 @@ pub mod micro;
 pub use micro::{gc_microbench, MicroCell};
 
 use gc_safety::{
-    merge_tagged, Cell, Event, Machine, Measured, Mode, ProfData, ProfHandle, Sink, TaggedSink,
-    TraceHandle,
+    merge_tagged, Cell, Event, Machine, Measured, Mode, Observe, ProfData, ProfHandle, Sink,
+    SnapHandle, TaggedSink, TraceHandle,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -34,109 +34,37 @@ pub struct Dataset {
     pub rows: Vec<(&'static str, BTreeMap<Mode, Measured>)>,
 }
 
-/// The worker count [`collect`] fans the measurement matrix out over:
-/// the machine's available parallelism, capped at the matrix size.
-pub fn default_jobs() -> usize {
-    gc_safety::default_jobs()
-}
-
-/// Runs every workload in every mode at the given scale, in parallel
-/// across [`default_jobs`] workers. The result is deterministic and
-/// identical to a serial run ([`collect_jobs`] with `jobs = 1`).
+/// Runs every workload in every mode at the given scale, fanned out
+/// across `jobs` scoped worker threads one (workload, mode) cell at a
+/// time, then reassembled in the paper's row order. Tables built from the
+/// [`Dataset`] are byte-identical regardless of `jobs` (every cost is a
+/// deterministic cycle count, not wall-clock), and so is whatever
+/// `observe` watches:
 ///
-/// # Errors
+/// * an enabled `observe.trace` receives the whole pipeline's event
+///   stream. Each cell emits into its own [`TaggedSink`], and the buffered
+///   streams are merged in deterministic (workload, mode, seq) order with
+///   the serial driver's per-workload `("bench", "workload")` markers
+///   interleaved, so the sink sees exactly the stream a serial run would
+///   have produced (wall-clock fields like `pause_ns` aside);
+/// * an enabled `observe.prof` or `observe.snap` is a request, not a
+///   destination: every cell runs under a fresh enabled handle of that
+///   kind, found afterwards in its [`Measured::observe`]. Profiles and
+///   snapshots never interleave across workers, so the deterministic
+///   slice of every export built from the [`Dataset`] (folded stacks,
+///   site counters, size histograms, census, `snap/1` documents) is
+///   byte-identical at any `jobs` and across cold/warm caches.
 ///
-/// Propagates build failures or cross-mode output divergence (which would
-/// indicate a miscompilation).
-pub fn collect(scale: Scale) -> Result<Dataset, String> {
-    collect_traced(scale, &TraceHandle::disabled())
-}
-
-/// [`collect`] with an explicit worker count.
-///
-/// # Errors
-///
-/// Same as [`collect`].
-pub fn collect_jobs(scale: Scale, jobs: usize) -> Result<Dataset, String> {
-    collect_traced_jobs(scale, &TraceHandle::disabled(), jobs)
-}
-
-/// [`collect`] with a trace: the whole pipeline's event stream — from the
-/// annotator's per-expression audit through collections and peephole
-/// rewrites — flows into one sink, workload by workload.
-///
-/// # Errors
-///
-/// Same as [`collect`].
-pub fn collect_traced(scale: Scale, trace: &TraceHandle) -> Result<Dataset, String> {
-    collect_traced_jobs(scale, trace, default_jobs())
-}
-
-/// The parallel measurement driver behind every `collect` variant.
-///
-/// The 4 workloads × 5 modes matrix is fanned out across `jobs` scoped
-/// worker threads, one (workload, mode) cell at a time, then reassembled
-/// in the paper's row order, so tables built from the [`Dataset`] are
-/// byte-identical regardless of `jobs` (every cost is a deterministic
-/// cycle count, not wall-clock). Tracing survives the fan-out: each cell
-/// emits into its own [`TaggedSink`], and the buffered streams are merged
-/// into `trace` in deterministic (workload, mode, seq) order — with the
-/// serial driver's per-workload `("bench", "workload")` markers
-/// interleaved — so the user's sink sees exactly the stream a serial run
-/// would have produced (wall-clock fields like `pause_ns` aside). The
-/// cross-mode output-divergence check runs on the assembled rows, so it
-/// compares against the `-O` baseline even when cells finish out of
+/// The cross-mode output-divergence check runs on the assembled rows, so
+/// it compares against the `-O` baseline even when cells finish out of
 /// order.
 ///
 /// # Errors
 ///
-/// Build failures and divergence are reported for the first failing cell
-/// in deterministic (workload, mode) order, whichever thread hit it.
-pub fn collect_traced_jobs(
-    scale: Scale,
-    trace: &TraceHandle,
-    jobs: usize,
-) -> Result<Dataset, String> {
-    collect_instrumented_jobs(scale, trace, false, jobs)
-}
-
-/// [`collect_traced_jobs`] with optional gcprof instrumentation. When
-/// `prof` is true every (workload, mode) cell runs under its own enabled
-/// [`ProfHandle`] — profiles never interleave across workers, so the
-/// deterministic slice of every export built from the [`Dataset`]
-/// (flamegraph folded stacks, site counters, size histograms, census) is
-/// byte-identical at any `jobs`, mirroring the trace's [`TaggedSink`]
-/// reassembly guarantee.
-///
-/// # Errors
-///
-/// Same as [`collect`].
-pub fn collect_instrumented_jobs(
-    scale: Scale,
-    trace: &TraceHandle,
-    prof: bool,
-    jobs: usize,
-) -> Result<Dataset, String> {
-    collect_snapped_jobs(scale, trace, prof, false, jobs)
-}
-
-/// [`collect_instrumented_jobs`] with optional heap-graph snapshots.
-/// When `snap` is true every (workload, mode) cell runs under its own
-/// enabled `gcsnap::SnapHandle`, so the VM's `begin`/`end` snapshots
-/// never interleave across workers; snapshots carry no wall-clock data,
-/// so the `snap/1` exports built from the [`Dataset`] are byte-identical
-/// at any `jobs` and across cold/warm compilation caches.
-///
-/// # Errors
-///
-/// Same as [`collect`].
-pub fn collect_snapped_jobs(
-    scale: Scale,
-    trace: &TraceHandle,
-    prof: bool,
-    snap: bool,
-    jobs: usize,
-) -> Result<Dataset, String> {
+/// Build failures and cross-mode output divergence (which would indicate
+/// a miscompilation) are reported for the first failing cell in
+/// deterministic (workload, mode) order, whichever thread hit it.
+pub fn collect(scale: Scale, jobs: usize, observe: &Observe) -> Result<Dataset, String> {
     let ws = workloads::all();
     let modes = Mode::all();
     let cells: Vec<(usize, usize)> = (0..ws.len())
@@ -146,41 +74,29 @@ pub fn collect_snapped_jobs(
     // workload standing in for the serial driver's workload event.
     // Tag space: (workload, 0) = marker, (workload, 1 + mode) = cell.
     let mut tagged: Vec<Arc<TaggedSink>> = Vec::new();
-    let cell_traces: Vec<TraceHandle> = if trace.is_enabled() {
+    if observe.trace.is_enabled() {
         for (wi, w) in ws.iter().enumerate() {
             let marker = Arc::new(TaggedSink::new(wi as u64, 0));
             marker.emit(Event::new("bench", "workload").field("name", w.name));
             tagged.push(marker);
         }
-        cells
-            .iter()
-            .map(|&(wi, mi)| {
+    }
+    let cell_observes: Vec<Observe> = cells
+        .iter()
+        .map(|&(wi, mi)| {
+            let mut cell = Observe::default();
+            if observe.trace.is_enabled() {
                 let sink = Arc::new(TaggedSink::new(wi as u64, 1 + mi as u64));
                 tagged.push(sink.clone());
-                TraceHandle::new(sink)
-            })
-            .collect()
-    } else {
-        cells.iter().map(|_| TraceHandle::disabled()).collect()
-    };
-    let cell_profs: Vec<ProfHandle> = cells
-        .iter()
-        .map(|_| {
-            if prof {
-                ProfHandle::enabled()
-            } else {
-                ProfHandle::disabled()
+                cell.trace = TraceHandle::new(sink);
             }
-        })
-        .collect();
-    let cell_snaps: Vec<gcsnap::SnapHandle> = cells
-        .iter()
-        .map(|_| {
-            if snap {
-                gcsnap::SnapHandle::enabled()
-            } else {
-                gcsnap::SnapHandle::disabled()
+            if observe.prof.is_enabled() {
+                cell.prof = ProfHandle::enabled();
             }
+            if observe.snap.is_enabled() {
+                cell.snap = SnapHandle::enabled();
+            }
+            cell
         })
         .collect();
     let slots: Vec<Mutex<Option<Result<Measured, String>>>> =
@@ -192,21 +108,15 @@ pub fn collect_snapped_jobs(
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&(wi, mi)) = cells.get(i) else { break };
-                let r = gc_safety::measure_workload_mode_snapped(
-                    &ws[wi],
-                    scale,
-                    modes[mi],
-                    &cell_traces[i],
-                    &cell_profs[i],
-                    &cell_snaps[i],
-                );
+                let r =
+                    gc_safety::measure_workload_mode(&ws[wi], scale, modes[mi], &cell_observes[i]);
                 *slots[i].lock().expect("cell slot") = Some(r);
             });
         }
     });
     // Replay the buffered event streams in serial order before touching
     // the results, so the trace is complete even when assembly errors.
-    merge_tagged(&tagged, trace);
+    merge_tagged(&tagged, &observe.trace);
     let mut slots = slots.into_iter();
     let mut rows = Vec::new();
     for w in &ws {
@@ -618,7 +528,7 @@ pub fn prof_cells(data: &Dataset) -> Vec<(&'static str, Mode, ProfData)> {
     let mut out = Vec::new();
     for (name, results) in &data.rows {
         for (mode, m) in results {
-            if let Some(d) = m.prof.snapshot() {
+            if let Some(d) = m.observe.prof.snapshot() {
                 out.push((*name, *mode, d));
             }
         }
@@ -1011,7 +921,7 @@ fn snap_cells(data: &Dataset) -> Vec<(&'static str, Mode, Vec<(String, gcsnap::S
     let mut out = Vec::new();
     for (name, results) in &data.rows {
         for (mode, m) in results {
-            if let Some(snaps) = m.snap.snapshots() {
+            if let Some(snaps) = m.observe.snap.snapshots() {
                 if !snaps.is_empty() {
                     out.push((*name, *mode, snaps));
                 }
@@ -1152,7 +1062,7 @@ pub fn bench_gc_json(data: &Dataset, micro: &[MicroCell]) -> String {
             w.str_field("workload", name);
             w.str_field("mode", mode.key());
             heap_fields(&mut w, &out.heap);
-            if let Some(d) = m.prof.snapshot() {
+            if let Some(d) = m.observe.prof.snapshot() {
                 prof_fields(&mut w, &d);
             }
             lines.push(format!("  {}", w.finish()));
@@ -1180,18 +1090,10 @@ pub fn bench_gc_json(data: &Dataset, micro: &[MicroCell]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line.
+/// Returns a message naming the first malformed cell.
 pub fn validate_bench_gc_json(text: &str) -> Result<usize, String> {
-    let mut cells = 0;
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
-            continue;
-        }
-        let obj = gctrace::json::parse_object(line).map_err(|e| format!("bad cell: {e}"))?;
-        for key in [
-            "schema",
-            "kind",
+    validate_cells(text, "gc/1", |_| {
+        Some(&[
             "workload",
             "mode",
             "collections",
@@ -1199,20 +1101,45 @@ pub fn validate_bench_gc_json(text: &str) -> Result<usize, String> {
             "total_mark_ns",
             "total_sweep_ns",
             "max_pause_ns",
-        ] {
-            if !obj.contains_key(key) {
-                return Err(format!("cell missing {key:?}: {line}"));
-            }
+        ])
+    })
+}
+
+/// The one trajectory validator behind `gc/1`, `cache/1` and `opt/1`:
+/// every cell [`gcwatch::stats::parse_cells`] reads must carry `schema`,
+/// a `kind` that `required_keys_for_kind` knows, and every key that
+/// function lists for it. Returns the number of cells.
+///
+/// # Errors
+///
+/// Returns a message naming the first malformed cell by its
+/// `workload/mode` key, or `"no cells"` for an empty document.
+pub fn validate_cells(
+    text: &str,
+    schema: &str,
+    required_keys_for_kind: impl Fn(&str) -> Option<&'static [&'static str]>,
+) -> Result<usize, String> {
+    use gctrace::json::JsonValue;
+    let cells = gcwatch::stats::parse_cells(text)?;
+    for cell in &cells {
+        let key = gcwatch::stats::cell_key(cell);
+        if cell.get("schema").and_then(JsonValue::as_str) != Some(schema) {
+            return Err(format!("unknown schema in cell: {key}"));
         }
-        if obj.get("schema").and_then(gctrace::json::JsonValue::as_str) != Some("gc/1") {
-            return Err(format!("unknown schema in cell: {line}"));
+        let kind = cell
+            .get("kind")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| format!("cell missing \"kind\": {key}"))?;
+        let required = required_keys_for_kind(kind)
+            .ok_or_else(|| format!("unknown cell kind {kind:?}: {key}"))?;
+        if let Some(missing) = required.iter().find(|k| !cell.contains_key(**k)) {
+            return Err(format!("{kind} cell missing {missing:?}: {key}"));
         }
-        cells += 1;
     }
-    if cells == 0 {
+    if cells.is_empty() {
         return Err("no cells".into());
     }
-    Ok(cells)
+    Ok(cells.len())
 }
 
 /// The `workload/mode` keys of [`bench_gc_json`] cells that never
@@ -1247,30 +1174,16 @@ pub const MIN_COLLECTIONS: u64 = 10;
 ///
 /// Propagates parse errors from the document.
 pub fn low_collection_cells(text: &str, min: u64) -> Result<Vec<(String, u64)>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
-            continue;
-        }
-        let obj = gctrace::json::parse_object(line).map_err(|e| format!("bad cell: {e}"))?;
-        let get = |k: &str| obj.get(k).and_then(gctrace::json::JsonValue::as_str);
-        let collections = obj
-            .get("collections")
-            .and_then(gctrace::json::JsonValue::as_u64)
-            .unwrap_or(0);
-        if collections < min {
-            out.push((
-                format!(
-                    "{}/{}",
-                    get("workload").unwrap_or("?"),
-                    get("mode").unwrap_or("?")
-                ),
-                collections,
-            ));
-        }
-    }
-    Ok(out)
+    Ok(gcwatch::stats::parse_cells(text)?
+        .iter()
+        .filter_map(|cell| {
+            let collections = cell
+                .get("collections")
+                .and_then(gctrace::json::JsonValue::as_u64)
+                .unwrap_or(0);
+            (collections < min).then(|| (gcwatch::stats::cell_key(cell), collections))
+        })
+        .collect())
 }
 
 /// Builds the Perfetto timeline cells for `--timeline`: every profiled
@@ -1381,38 +1294,18 @@ pub fn bench_cache_json(passes: &[CachePass]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line.
+/// Returns a message naming the first malformed cell.
 pub fn validate_bench_cache_json(text: &str) -> Result<usize, String> {
-    let mut cells = 0;
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
-            continue;
-        }
-        let obj = gctrace::json::parse_object(line).map_err(|e| format!("bad cell: {e}"))?;
-        for key in [
-            "schema",
-            "kind",
+    validate_cells(text, "cache/1", |_| {
+        Some(&[
             "workload",
             "mode",
             "wall_ns",
             "hits",
             "misses",
             "hit_rate_permille",
-        ] {
-            if !obj.contains_key(key) {
-                return Err(format!("cell missing {key:?}: {line}"));
-            }
-        }
-        if obj.get("schema").and_then(gctrace::json::JsonValue::as_str) != Some("cache/1") {
-            return Err(format!("unknown schema in cell: {line}"));
-        }
-        cells += 1;
-    }
-    if cells == 0 {
-        return Err("no cells".into());
-    }
-    Ok(cells)
+        ])
+    })
 }
 
 /// The deterministic artifact set the cache bench byte-compares across
@@ -1480,7 +1373,11 @@ pub fn run_cache_bench(
         return Err("cache bench: the compilation cache is disabled".into());
     }
     let mut passes = Vec::new();
-    let matrix = || collect_instrumented_jobs(scale, &TraceHandle::disabled(), true, jobs);
+    let profiled = Observe {
+        prof: ProfHandle::enabled(),
+        ..Observe::default()
+    };
+    let matrix = || collect(scale, jobs, &profiled);
 
     // Matrix, cold then warm: identical inputs, so the warm pass must be
     // served entirely from cache and reproduce every deterministic
@@ -1807,51 +1704,26 @@ pub fn bench_opt_json(sweep: &OptSweep, cycles: &[OptCycles]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line.
+/// Returns a message naming the first malformed cell.
 pub fn validate_bench_opt_json(text: &str) -> Result<usize, String> {
-    let mut cells = 0;
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
-            continue;
-        }
-        let obj = gctrace::json::parse_object(line).map_err(|e| format!("bad cell: {e}"))?;
-        if obj.get("schema").and_then(gctrace::json::JsonValue::as_str) != Some("opt/1") {
-            return Err(format!("unknown schema in cell: {line}"));
-        }
-        let kind = obj
-            .get("kind")
-            .and_then(gctrace::json::JsonValue::as_str)
-            .ok_or_else(|| format!("cell missing \"kind\": {line}"))?;
-        let required: &[&str] = match kind {
-            "pass" => &["workload", "mode", "fires", "fired_permille"],
-            "fixpoint" => &[
-                "workload",
-                "mode",
-                "functions",
-                "sweeps_total",
-                "sweeps_max",
-            ],
-            "cycles" => &[
-                "workload",
-                "mode",
-                "cycles_base",
-                "cycles_full",
-                "saved_permille",
-            ],
-            other => return Err(format!("unknown cell kind {other:?}: {line}")),
-        };
-        for key in required {
-            if !obj.contains_key(*key) {
-                return Err(format!("{kind} cell missing {key:?}: {line}"));
-            }
-        }
-        cells += 1;
-    }
-    if cells == 0 {
-        return Err("no cells".into());
-    }
-    Ok(cells)
+    validate_cells(text, "opt/1", |kind| match kind {
+        "pass" => Some(&["workload", "mode", "fires", "fired_permille"]),
+        "fixpoint" => Some(&[
+            "workload",
+            "mode",
+            "functions",
+            "sweeps_total",
+            "sweeps_max",
+        ]),
+        "cycles" => Some(&[
+            "workload",
+            "mode",
+            "cycles_base",
+            "cycles_full",
+            "saved_permille",
+        ]),
+        _ => None,
+    })
 }
 
 /// Runs the optimizer benchmark and returns the [`bench_opt_json`]
@@ -1873,7 +1745,8 @@ mod tests {
 
     #[test]
     fn bench_gc_json_is_valid_and_covers_matrix_and_micro() {
-        let data = collect(Scale::Tiny).expect("all workloads run");
+        let data = collect(Scale::Tiny, gc_safety::default_jobs(), &Observe::default())
+            .expect("all workloads run");
         let micro = gc_microbench(true);
         let text = bench_gc_json(&data, &micro);
         let cells = validate_bench_gc_json(&text).expect("parses");
@@ -1897,7 +1770,8 @@ mod tests {
 
     #[test]
     fn tiny_dataset_builds_all_tables() {
-        let data = collect(Scale::Tiny).expect("all workloads run");
+        let data = collect(Scale::Tiny, gc_safety::default_jobs(), &Observe::default())
+            .expect("all workloads run");
         let t1 = slowdown_table(&data, "sparc10");
         assert!(t1.contains("cordtest"));
         assert!(t1.contains("gawk"));
@@ -1910,7 +1784,8 @@ mod tests {
 
     #[test]
     fn shape_envelope_holds_even_at_tiny_scale() {
-        let data = collect(Scale::Tiny).expect("all workloads run");
+        let data = collect(Scale::Tiny, gc_safety::default_jobs(), &Observe::default())
+            .expect("all workloads run");
         let report = paper_comparison(&data);
         assert!(
             !report.contains("SHAPE MISMATCH"),
@@ -1935,7 +1810,11 @@ mod tests {
         let trace = TraceHandle::new(std::sync::Arc::new(gc_safety::JsonlSink::new(Box::new(
             Shared(buf.clone()),
         ))));
-        collect_traced(Scale::Tiny, &trace).expect("all workloads run");
+        let observe = Observe {
+            trace,
+            ..Observe::default()
+        };
+        collect(Scale::Tiny, gc_safety::default_jobs(), &observe).expect("all workloads run");
         // Tiny-scale workloads allocate less than the collector's 256 KiB
         // trigger threshold, so add one allocation-heavy measurement to
         // exercise the GC timeline through the same facade path. (The
@@ -1947,8 +1826,8 @@ mod tests {
                 return 0;
             }
         "#;
-        let m =
-            gc_safety::measure_source_traced(churn, b"", Mode::OSafePost, &trace).expect("builds");
+        let m = gc_safety::measure_source_observed(churn, b"", Mode::OSafePost, &observe)
+            .expect("builds");
         assert!(m.outcome.expect("runs").heap.collections > 0);
         let jsonl = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         // Every line is a valid JSON object with stage and kind.

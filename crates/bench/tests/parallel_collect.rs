@@ -4,18 +4,47 @@
 //! event in the merged trace stream (wall-clock pause fields aside,
 //! which no table consumes).
 
-use gc_safety::{Event, Mode, TraceHandle};
+use gc_safety::{Event, Mode, Observe, ProfHandle, SnapHandle, TraceHandle};
 use gcbench::{
-    bench_json, codesize_table, collect_instrumented_jobs, collect_jobs, collect_traced_jobs,
-    folded_export, postprocessor_table, prof_report, prometheus_export, slowdown_table,
+    bench_json, codesize_table, collect, folded_export, postprocessor_table, prof_report,
+    prometheus_export, slowdown_table, Dataset,
 };
 use gctrace::Value;
 use workloads::Scale;
 
+/// The matrix at tiny scale, profiled per cell.
+fn profiled_matrix(jobs: usize) -> Dataset {
+    let observe = Observe {
+        prof: ProfHandle::enabled(),
+        ..Observe::default()
+    };
+    collect(Scale::Tiny, jobs, &observe).expect("profiled collect")
+}
+
+/// The matrix at tiny scale with heap snapshots per cell.
+fn snapped_matrix(jobs: usize) -> Dataset {
+    let observe = Observe {
+        snap: SnapHandle::enabled(),
+        ..Observe::default()
+    };
+    collect(Scale::Tiny, jobs, &observe).expect("snapped collect")
+}
+
+/// The matrix at tiny scale traced into memory; returns the merged stream.
+fn traced_events(jobs: usize) -> Vec<Event> {
+    let (trace, sink) = TraceHandle::memory();
+    let observe = Observe {
+        trace,
+        ..Observe::default()
+    };
+    collect(Scale::Tiny, jobs, &observe).expect("traced collect");
+    sink.snapshot()
+}
+
 #[test]
 fn parallel_collect_equals_serial_cell_for_cell() {
-    let serial = collect_jobs(Scale::Tiny, 1).expect("serial collect");
-    let parallel = collect_jobs(Scale::Tiny, 4).expect("parallel collect");
+    let serial = collect(Scale::Tiny, 1, &Observe::default()).expect("serial collect");
+    let parallel = collect(Scale::Tiny, 4, &Observe::default()).expect("parallel collect");
     assert_eq!(serial.rows.len(), parallel.rows.len());
     for ((sn, srow), (pn, prow)) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!(sn, pn, "row order is the paper's");
@@ -136,10 +165,8 @@ fn strip_timing_json(text: &str) -> String {
 
 #[test]
 fn instrumented_parallel_exports_match_serial_modulo_timing() {
-    let serial = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 1)
-        .expect("serial instrumented collect");
-    let parallel = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 4)
-        .expect("parallel instrumented collect");
+    let serial = profiled_matrix(1);
+    let parallel = profiled_matrix(4);
     // Flamegraph folded stacks are fully deterministic: compared raw.
     let folded = folded_export(&serial);
     assert!(!folded.is_empty(), "profiling produced allocation stacks");
@@ -178,10 +205,8 @@ fn instrumented_parallel_exports_match_serial_modulo_timing() {
 #[test]
 fn timeline_export_is_byte_identical_at_any_jobs() {
     use gcbench::{gc_microbench, timeline_cells};
-    let serial = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 1)
-        .expect("serial instrumented collect");
-    let parallel = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 4)
-        .expect("parallel instrumented collect");
+    let serial = profiled_matrix(1);
+    let parallel = profiled_matrix(4);
     // The microbench is rerun for each trace: its wall-clock fields move,
     // but the virtual-clock trace must not — only deterministic counters
     // reach the export.
@@ -221,10 +246,8 @@ fn warm_cache_exports_are_byte_identical_to_cold() {
     // global caches), but the second is fully warm for everything the
     // first compiled — so any divergence below is cache unsoundness.
     gc_safety::cache_clear();
-    let cold = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 2)
-        .expect("cold instrumented collect");
-    let warm = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 2)
-        .expect("warm instrumented collect");
+    let cold = profiled_matrix(2);
+    let warm = profiled_matrix(2);
     for key in ["sparc2", "sparc10", "pentium90"] {
         assert_eq!(
             slowdown_table(&cold, key),
@@ -262,12 +285,8 @@ fn warm_cache_replays_the_cold_trace_stream() {
     // Traced builds either run live or replay a stored stream captured
     // from an identical source — so modulo wall-clock fields the two
     // runs' merged streams must be event-for-event identical.
-    let (cold_trace, cold_sink) = TraceHandle::memory();
-    collect_traced_jobs(Scale::Tiny, &cold_trace, 2).expect("cold traced collect");
-    let (warm_trace, warm_sink) = TraceHandle::memory();
-    collect_traced_jobs(Scale::Tiny, &warm_trace, 2).expect("warm traced collect");
-    let cold = normalized(cold_sink.snapshot());
-    let warm = normalized(warm_sink.snapshot());
+    let cold = normalized(traced_events(2));
+    let warm = normalized(traced_events(2));
     assert!(!cold.is_empty());
     assert_eq!(cold.len(), warm.len(), "streams have the same event count");
     for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
@@ -277,13 +296,8 @@ fn warm_cache_replays_the_cold_trace_stream() {
 
 #[test]
 fn merged_parallel_trace_matches_the_serial_stream() {
-    let (serial_trace, serial_sink) = TraceHandle::memory();
-    collect_traced_jobs(Scale::Tiny, &serial_trace, 1).expect("serial collect");
-    let (parallel_trace, parallel_sink) = TraceHandle::memory();
-    collect_traced_jobs(Scale::Tiny, &parallel_trace, 4).expect("parallel collect");
-
-    let serial = normalized(serial_sink.snapshot());
-    let parallel = normalized(parallel_sink.snapshot());
+    let serial = normalized(traced_events(1));
+    let parallel = normalized(traced_events(4));
     assert!(!serial.is_empty(), "the traced run produced events");
     assert_eq!(
         serial.len(),
@@ -313,11 +327,9 @@ fn merged_parallel_trace_matches_the_serial_stream() {
 
 #[test]
 fn snapshot_exports_are_byte_identical_at_any_jobs() {
-    use gcbench::{collect_snapped_jobs, snap_exports};
-    let serial = collect_snapped_jobs(Scale::Tiny, &TraceHandle::disabled(), false, true, 1)
-        .expect("serial snapped collect");
-    let parallel = collect_snapped_jobs(Scale::Tiny, &TraceHandle::disabled(), false, true, 2)
-        .expect("parallel snapped collect");
+    use gcbench::snap_exports;
+    let serial = snapped_matrix(1);
+    let parallel = snapped_matrix(2);
     let s = snap_exports(&serial).expect("serial exports validate");
     let p = snap_exports(&parallel).expect("parallel exports validate");
     assert!(!s.is_empty(), "the matrix produced snapshots");
@@ -335,14 +347,57 @@ fn snapshot_exports_are_byte_identical_at_any_jobs() {
 
 #[test]
 fn snapshot_exports_are_byte_identical_cold_vs_warm_cache() {
-    use gcbench::{collect_snapped_jobs, snap_exports};
+    use gcbench::snap_exports;
     gc_safety::cache_clear();
-    let cold = collect_snapped_jobs(Scale::Tiny, &TraceHandle::disabled(), false, true, 2)
-        .expect("cold snapped collect");
-    let warm = collect_snapped_jobs(Scale::Tiny, &TraceHandle::disabled(), false, true, 2)
-        .expect("warm snapped collect");
+    let cold = snapped_matrix(2);
+    let warm = snapped_matrix(2);
     let c = snap_exports(&cold).expect("cold exports validate");
     let w = snap_exports(&warm).expect("warm exports validate");
     assert!(!c.is_empty(), "the matrix produced snapshots");
     assert_eq!(c, w, "snapshot documents differ cold vs warm");
+}
+
+#[test]
+fn all_observers_at_once_are_byte_identical_at_any_jobs() {
+    // What `tables --trace … --prof … --snap-dir …` runs: every observer
+    // enabled together. Only with both trace and prof on does the facade
+    // mirror the profile into the trace, so this is the one pin that
+    // covers the ("prof", "histogram") / ("prof", "census") events.
+    use gcbench::snap_exports;
+    let run = |jobs: usize| {
+        let (trace, sink) = TraceHandle::memory();
+        let all_on = Observe {
+            trace,
+            prof: ProfHandle::enabled(),
+            snap: SnapHandle::enabled(),
+        };
+        let data = collect(Scale::Tiny, jobs, &all_on).expect("observed collect");
+        (data, normalized(sink.snapshot()))
+    };
+    let (serial, serial_events) = run(1);
+    let (parallel, parallel_events) = run(2);
+    for kind in ["histogram", "census"] {
+        assert!(
+            serial_events
+                .iter()
+                .any(|e| (e.stage, e.kind) == ("prof", kind)),
+            "profile mirrored into the trace as ({kind})"
+        );
+    }
+    assert_eq!(serial_events, parallel_events, "merged traces differ");
+    assert_eq!(
+        strip_timing_metrics(&prometheus_export(&serial)),
+        strip_timing_metrics(&prometheus_export(&parallel)),
+        "deterministic metric families differ"
+    );
+    let folded = folded_export(&serial);
+    assert!(!folded.is_empty());
+    assert_eq!(folded, folded_export(&parallel), "folded stacks differ");
+    let s = snap_exports(&serial).expect("serial exports validate");
+    assert!(!s.is_empty(), "the matrix produced snapshots");
+    assert_eq!(
+        s,
+        snap_exports(&parallel).expect("parallel exports validate"),
+        "snapshot documents differ"
+    );
 }

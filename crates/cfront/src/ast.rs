@@ -452,53 +452,54 @@ pub fn visit_exprs<'a>(stmt: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
 
 /// Depth-first expression walk (children first).
 pub fn visit_expr<'a>(expr: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
-    match &expr.kind {
-        ExprKind::IntLit(_)
-        | ExprKind::StrLit(_)
-        | ExprKind::Ident(_)
-        | ExprKind::SizeofType(_) => {}
-        ExprKind::Unary(_, e)
-        | ExprKind::Deref(e)
-        | ExprKind::AddrOf(e)
-        | ExprKind::Cast(_, e)
-        | ExprKind::SizeofExpr(e) => visit_expr(e, f),
-        ExprKind::Binary(_, l, r) | ExprKind::Comma(l, r) => {
-            visit_expr(l, f);
-            visit_expr(r, f);
-        }
-        ExprKind::Assign { lhs, rhs, .. } => {
-            visit_expr(lhs, f);
-            visit_expr(rhs, f);
-        }
-        ExprKind::IncDec { target, .. } => visit_expr(target, f),
-        ExprKind::Cond(c, t, e) => {
-            visit_expr(c, f);
-            visit_expr(t, f);
-            visit_expr(e, f);
-        }
-        ExprKind::Call(callee, args) => {
-            visit_expr(callee, f);
-            for a in args {
-                visit_expr(a, f);
+    expr.kind.for_each_child(&mut |child| visit_expr(child, f));
+    f(expr);
+}
+
+impl ExprKind {
+    /// Calls `f` on each direct subexpression, left to right.
+    pub fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        match self {
+            ExprKind::IntLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Ident(_)
+            | ExprKind::SizeofType(_) => {}
+            ExprKind::Unary(_, e)
+            | ExprKind::Deref(e)
+            | ExprKind::AddrOf(e)
+            | ExprKind::Cast(_, e)
+            | ExprKind::SizeofExpr(e)
+            | ExprKind::IncDec { target: e, .. }
+            | ExprKind::Member { obj: e, .. }
+            | ExprKind::KeepLive {
+                value: e,
+                base: None,
+            } => f(e),
+            ExprKind::Binary(_, l, r)
+            | ExprKind::Comma(l, r)
+            | ExprKind::Assign { lhs: l, rhs: r, .. }
+            | ExprKind::Index(l, r)
+            | ExprKind::KeepLive {
+                value: l,
+                base: Some(r),
             }
-        }
-        ExprKind::Index(a, i) => {
-            visit_expr(a, f);
-            visit_expr(i, f);
-        }
-        ExprKind::Member { obj, .. } => visit_expr(obj, f),
-        ExprKind::KeepLive { value, base } => {
-            visit_expr(value, f);
-            if let Some(b) = base {
-                visit_expr(b, f);
+            | ExprKind::CheckSame { value: l, base: r } => {
+                f(l);
+                f(r);
             }
-        }
-        ExprKind::CheckSame { value, base } => {
-            visit_expr(value, f);
-            visit_expr(base, f);
+            ExprKind::Cond(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+            ExprKind::Call(callee, args) => {
+                f(callee);
+                for a in args {
+                    f(a);
+                }
+            }
         }
     }
-    f(expr);
 }
 
 #[cfg(test)]

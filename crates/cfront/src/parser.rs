@@ -35,6 +35,34 @@ pub fn parse_expr(source: &str) -> FrontResult<Expr> {
     Ok(e)
 }
 
+/// The deepest syntax the parser accepts: nested statements, parentheses,
+/// operator operands and declarators each count one level, and so does
+/// every node of the left-nested trees that binary-operator, postfix and
+/// comma chains build in a loop. Every later stage (sema, annotation,
+/// lowering, hashing, printing, even dropping the tree) recurses once per
+/// level, so this bound keeps the whole pipeline within a default 2 MiB
+/// thread stack in builds at opt-level 1 or above (unoptimized frames are
+/// 5-10x larger); deeper input gets a parse error instead of a stack
+/// overflow.
+pub const MAX_NESTING: usize = 256;
+
+/// How many type constructors deep `ty` nests, counted without recursion.
+fn type_depth(ty: &Type) -> usize {
+    let mut deepest = 0;
+    let mut stack = vec![(ty, 1)];
+    while let Some((t, d)) = stack.pop() {
+        deepest = deepest.max(d);
+        match t {
+            Type::Ptr(inner) | Type::Array(inner, _) => stack.push((inner, d + 1)),
+            Type::Func(f) => {
+                stack.extend(std::iter::once(&f.ret).chain(&f.params).map(|p| (p, d + 1)))
+            }
+            _ => {}
+        }
+    }
+    deepest
+}
+
 /// (parameter types, parameter names with spans, varargs flag).
 type ParamList = (Vec<Type>, Vec<(String, Span)>, bool);
 
@@ -47,6 +75,10 @@ struct Parser {
     enum_consts: Vec<(String, i64)>,
     enum_lookup: HashMap<String, i64>,
     ids: NodeIdGen,
+    /// Nesting levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Height of every expression built so far, indexed by `NodeId`.
+    heights: Vec<usize>,
 }
 
 impl Parser {
@@ -60,6 +92,8 @@ impl Parser {
             enum_consts: Vec::new(),
             enum_lookup: HashMap::new(),
             ids: NodeIdGen::new(),
+            depth: 0,
+            heights: Vec::new(),
         }
     }
 
@@ -142,8 +176,42 @@ impl Parser {
         FrontError::new(Phase::Parse, msg, self.span())
     }
 
-    fn mk(&mut self, span: Span, kind: ExprKind) -> Expr {
-        Expr::new(self.ids.fresh(), span, kind)
+    fn too_deep(span: Span) -> FrontError {
+        FrontError::new(
+            Phase::Parse,
+            format!("nesting exceeds {MAX_NESTING} levels"),
+            span,
+        )
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> FrontResult<T>) -> FrontResult<T> {
+        if self.depth >= MAX_NESTING {
+            return Err(Self::too_deep(self.span()));
+        }
+        self.depth += 1;
+        let r = parse(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Builds an expression node, rejecting it if its height on top of the
+    /// open nesting levels exceeds [`MAX_NESTING`].
+    fn mk(&mut self, span: Span, kind: ExprKind) -> FrontResult<Expr> {
+        let mut below = 0;
+        // Every child was built by `mk`, so its height is recorded.
+        kind.for_each_child(&mut |c| below = below.max(self.heights[c.id.0 as usize]));
+        let height = below + 1;
+        if self.depth + height > MAX_NESTING {
+            return Err(Self::too_deep(span));
+        }
+        let id = self.ids.fresh();
+        let slot = id.0 as usize;
+        if self.heights.len() <= slot {
+            self.heights.resize(slot + 1, 0);
+        }
+        self.heights[slot] = height;
+        Ok(Expr::new(id, span, kind))
     }
 
     // ----- types ----------------------------------------------------------
@@ -318,7 +386,7 @@ impl Parser {
             }
             let mut fields = Vec::new();
             while !self.eat_punct(Punct::RBrace) {
-                let (base, td) = self.decl_specs()?;
+                let (base, td) = self.nested(Self::decl_specs)?;
                 if td {
                     return Err(self.error("typedef not allowed inside struct body"));
                 }
@@ -372,9 +440,14 @@ impl Parser {
     fn declarator(&mut self, base: Type) -> FrontResult<(String, Type, Span)> {
         let start = self.span();
         let mut ty = base;
+        let mut stars = 0;
         while self.eat_punct(Punct::Star) {
             // const/volatile after '*'
             while self.eat_kw(Kw::Const) || self.eat_kw(Kw::Volatile) {}
+            stars += 1;
+            if self.depth + stars > MAX_NESTING {
+                return Err(Self::too_deep(self.prev_span()));
+            }
             ty = ty.ptr_to();
         }
         // Direct declarator: either a name, a parenthesised declarator, or
@@ -410,7 +483,7 @@ impl Parser {
                 let save = self.pos;
                 self.pos = s;
                 let saved_end = e;
-                let (name, inner_ty, _) = self.declarator(ty)?;
+                let (name, inner_ty, _) = self.nested(|p| p.declarator(ty))?;
                 if self.pos != saved_end {
                     return Err(self.error("malformed parenthesised declarator"));
                 }
@@ -418,6 +491,11 @@ impl Parser {
                 (name, inner_ty)
             }
         };
+        // Typedefs compound, so bound the whole type, not just this
+        // declarator's own stars and suffixes.
+        if self.depth + type_depth(&ty) > MAX_NESTING {
+            return Err(Self::too_deep(start));
+        }
         Ok((name, ty, start.merge(self.prev_span())))
     }
 
@@ -457,6 +535,9 @@ impl Parser {
         }
         let mut suffixes = Vec::new();
         loop {
+            if self.depth + suffixes.len() > MAX_NESTING {
+                return Err(Self::too_deep(self.prev_span()));
+            }
             if self.eat_punct(Punct::LBracket) {
                 if self.eat_punct(Punct::RBracket) {
                     suffixes.push(Suffix::Array(None));
@@ -471,7 +552,7 @@ impl Parser {
                 }
             } else if *self.peek() == Tok::Punct(Punct::LParen) {
                 self.bump();
-                let (ptypes, pnames, varargs) = self.param_list()?;
+                let (ptypes, pnames, varargs) = self.nested(Self::param_list)?;
                 suffixes.push(Suffix::Func(ptypes, pnames, varargs));
             } else {
                 break;
@@ -721,7 +802,7 @@ impl Parser {
                 if self.eat_punct(Punct::RBrace) {
                     break;
                 }
-                items.push(self.initializer()?);
+                items.push(self.nested(Self::initializer)?);
                 if !self.eat_punct(Punct::Comma) {
                     self.expect_punct(Punct::RBrace)?;
                     break;
@@ -754,6 +835,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> FrontResult<Stmt> {
+        self.nested(Self::stmt_here)
+    }
+
+    fn stmt_here(&mut self) -> FrontResult<Stmt> {
         match self.peek().clone() {
             Tok::Punct(Punct::LBrace) => Ok(Stmt::Block(self.block()?)),
             Tok::Punct(Punct::Semi) => {
@@ -917,7 +1002,7 @@ impl Parser {
         while self.eat_punct(Punct::Comma) {
             let rhs = self.assignment()?;
             let span = e.span.merge(rhs.span);
-            e = self.mk(span, ExprKind::Comma(Box::new(e), Box::new(rhs)));
+            e = self.mk(span, ExprKind::Comma(Box::new(e), Box::new(rhs)))?;
         }
         Ok(e)
     }
@@ -940,16 +1025,16 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let rhs = self.assignment()?;
+            let rhs = self.nested(Self::assignment)?;
             let span = lhs.span.merge(rhs.span);
-            Ok(self.mk(
+            self.mk(
                 span,
                 ExprKind::Assign {
                     op,
                     lhs: Box::new(lhs),
                     rhs: Box::new(rhs),
                 },
-            ))
+            )
         } else {
             Ok(lhs)
         }
@@ -958,14 +1043,14 @@ impl Parser {
     fn conditional(&mut self) -> FrontResult<Expr> {
         let cond = self.binary(0)?;
         if self.eat_punct(Punct::Question) {
-            let then = self.expr()?;
+            let then = self.nested(Self::expr)?;
             self.expect_punct(Punct::Colon)?;
-            let els = self.conditional()?;
+            let els = self.nested(Self::conditional)?;
             let span = cond.span.merge(els.span);
-            Ok(self.mk(
+            self.mk(
                 span,
                 ExprKind::Cond(Box::new(cond), Box::new(then), Box::new(els)),
-            ))
+            )
         } else {
             Ok(cond)
         }
@@ -1005,7 +1090,7 @@ impl Parser {
             self.bump();
             let rhs = self.binary(prec + 1)?;
             let span = lhs.span.merge(rhs.span);
-            lhs = self.mk(span, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)));
+            lhs = self.mk(span, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)))?;
         }
         Ok(lhs)
     }
@@ -1042,69 +1127,73 @@ impl Parser {
     }
 
     fn unary(&mut self) -> FrontResult<Expr> {
+        self.nested(Self::unary_here)
+    }
+
+    fn unary_here(&mut self) -> FrontResult<Expr> {
         let start = self.span();
         match self.peek().clone() {
             Tok::Punct(Punct::Plus) => {
                 self.bump();
                 let e = self.unary()?;
                 let span = start.merge(e.span);
-                Ok(self.mk(span, ExprKind::Unary(UnOp::Plus, Box::new(e))))
+                self.mk(span, ExprKind::Unary(UnOp::Plus, Box::new(e)))
             }
             Tok::Punct(Punct::Minus) => {
                 self.bump();
                 let e = self.unary()?;
                 let span = start.merge(e.span);
-                Ok(self.mk(span, ExprKind::Unary(UnOp::Neg, Box::new(e))))
+                self.mk(span, ExprKind::Unary(UnOp::Neg, Box::new(e)))
             }
             Tok::Punct(Punct::Bang) => {
                 self.bump();
                 let e = self.unary()?;
                 let span = start.merge(e.span);
-                Ok(self.mk(span, ExprKind::Unary(UnOp::Not, Box::new(e))))
+                self.mk(span, ExprKind::Unary(UnOp::Not, Box::new(e)))
             }
             Tok::Punct(Punct::Tilde) => {
                 self.bump();
                 let e = self.unary()?;
                 let span = start.merge(e.span);
-                Ok(self.mk(span, ExprKind::Unary(UnOp::BitNot, Box::new(e))))
+                self.mk(span, ExprKind::Unary(UnOp::BitNot, Box::new(e)))
             }
             Tok::Punct(Punct::Star) => {
                 self.bump();
                 let e = self.unary()?;
                 let span = start.merge(e.span);
-                Ok(self.mk(span, ExprKind::Deref(Box::new(e))))
+                self.mk(span, ExprKind::Deref(Box::new(e)))
             }
             Tok::Punct(Punct::Amp) => {
                 self.bump();
                 let e = self.unary()?;
                 let span = start.merge(e.span);
-                Ok(self.mk(span, ExprKind::AddrOf(Box::new(e))))
+                self.mk(span, ExprKind::AddrOf(Box::new(e)))
             }
             Tok::Punct(Punct::PlusPlus) => {
                 self.bump();
                 let e = self.unary()?;
                 let span = start.merge(e.span);
-                Ok(self.mk(
+                self.mk(
                     span,
                     ExprKind::IncDec {
                         inc: true,
                         pre: true,
                         target: Box::new(e),
                     },
-                ))
+                )
             }
             Tok::Punct(Punct::MinusMinus) => {
                 self.bump();
                 let e = self.unary()?;
                 let span = start.merge(e.span);
-                Ok(self.mk(
+                self.mk(
                     span,
                     ExprKind::IncDec {
                         inc: false,
                         pre: true,
                         target: Box::new(e),
                     },
-                ))
+                )
             }
             Tok::Kw(Kw::Sizeof) => {
                 self.bump();
@@ -1112,11 +1201,11 @@ impl Parser {
                     self.bump();
                     let ty = self.type_name()?;
                     let end = self.expect_punct(Punct::RParen)?;
-                    Ok(self.mk(start.merge(end), ExprKind::SizeofType(ty)))
+                    self.mk(start.merge(end), ExprKind::SizeofType(ty))
                 } else {
                     let e = self.unary()?;
                     let span = start.merge(e.span);
-                    Ok(self.mk(span, ExprKind::SizeofExpr(Box::new(e))))
+                    self.mk(span, ExprKind::SizeofExpr(Box::new(e)))
                 }
             }
             Tok::Punct(Punct::LParen) if self.paren_is_cast() => {
@@ -1125,7 +1214,7 @@ impl Parser {
                 self.expect_punct(Punct::RParen)?;
                 let e = self.unary()?;
                 let span = start.merge(e.span);
-                Ok(self.mk(span, ExprKind::Cast(ty, Box::new(e))))
+                self.mk(span, ExprKind::Cast(ty, Box::new(e)))
             }
             _ => self.postfix(),
         }
@@ -1140,7 +1229,7 @@ impl Parser {
                     let idx = self.expr()?;
                     let end = self.expect_punct(Punct::RBracket)?;
                     let span = e.span.merge(end);
-                    e = self.mk(span, ExprKind::Index(Box::new(e), Box::new(idx)));
+                    e = self.mk(span, ExprKind::Index(Box::new(e), Box::new(idx)))?;
                 }
                 Tok::Punct(Punct::LParen) => {
                     self.bump();
@@ -1155,7 +1244,7 @@ impl Parser {
                         self.expect_punct(Punct::RParen)?;
                     }
                     let span = e.span.merge(self.prev_span());
-                    e = self.mk(span, ExprKind::Call(Box::new(e), args));
+                    e = self.mk(span, ExprKind::Call(Box::new(e), args))?;
                 }
                 Tok::Punct(Punct::Dot) => {
                     self.bump();
@@ -1168,7 +1257,7 @@ impl Parser {
                             field,
                             arrow: false,
                         },
-                    );
+                    )?;
                 }
                 Tok::Punct(Punct::Arrow) => {
                     self.bump();
@@ -1181,7 +1270,7 @@ impl Parser {
                             field,
                             arrow: true,
                         },
-                    );
+                    )?;
                 }
                 Tok::Punct(Punct::PlusPlus) => {
                     let end = self.bump().span;
@@ -1193,7 +1282,7 @@ impl Parser {
                             pre: false,
                             target: Box::new(e),
                         },
-                    );
+                    )?;
                 }
                 Tok::Punct(Punct::MinusMinus) => {
                     let end = self.bump().span;
@@ -1205,7 +1294,7 @@ impl Parser {
                             pre: false,
                             target: Box::new(e),
                         },
-                    );
+                    )?;
                 }
                 _ => return Ok(e),
             }
@@ -1217,15 +1306,15 @@ impl Parser {
         match self.peek().clone() {
             Tok::IntLit(v) => {
                 self.bump();
-                Ok(self.mk(start, ExprKind::IntLit(v)))
+                self.mk(start, ExprKind::IntLit(v))
             }
             Tok::StrLit(s) => {
                 self.bump();
-                Ok(self.mk(start, ExprKind::StrLit(s)))
+                self.mk(start, ExprKind::StrLit(s))
             }
             Tok::Ident(name) => {
                 self.bump();
-                Ok(self.mk(start, ExprKind::Ident(name)))
+                self.mk(start, ExprKind::Ident(name))
             }
             Tok::Punct(Punct::LParen) => {
                 self.bump();
@@ -1496,6 +1585,14 @@ mod error_path_tests {
     fn division_by_zero_in_constant() {
         let e = parse_err("int a[4 / 0];");
         assert!(e.message.contains("zero"), "{e}");
+    }
+
+    #[test]
+    fn typedefs_cannot_compound_past_the_nesting_limit() {
+        let stars = "*".repeat(MAX_NESTING - 50);
+        parse(&format!("typedef int {stars}T1;")).expect("within the limit");
+        let e = parse_err(&format!("typedef int {stars}T1; typedef T1 {stars}T2;"));
+        assert_eq!(e.message, format!("nesting exceeds {MAX_NESTING} levels"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! bug-class the cache's unconditional re-bind exists to prevent:
 //! profiles stamped with the donor program's line numbers.
 
-use gc_safety::{cache_stats, measure_source_instrumented, Mode, ProfHandle, TraceHandle};
+use gc_safety::{cache_stats, measure_source_observed, Mode, Observe, ProfHandle};
 
 /// 1-based (line, col) of the first occurrence of `needle` in `src`.
 fn pos_of(src: &str, needle: &str) -> (usize, usize) {
@@ -50,13 +50,13 @@ fn shared_cache_entries_still_profile_under_each_formattings_labels() {
     let label_b = format!("malloc@{lb}:{cb}");
     assert_ne!(label_a, label_b);
 
-    let prof_a = ProfHandle::enabled();
-    let a = measure_source_instrumented(SRC_A, b"", Mode::O, &TraceHandle::disabled(), &prof_a)
-        .expect("A measures");
+    let profiled = || Observe {
+        prof: ProfHandle::enabled(),
+        ..Observe::default()
+    };
+    let a = measure_source_observed(SRC_A, b"", Mode::O, &profiled()).expect("A measures");
     let before = cache_stats();
-    let prof_b = ProfHandle::enabled();
-    let b = measure_source_instrumented(SRC_B, b"", Mode::O, &TraceHandle::disabled(), &prof_b)
-        .expect("B measures");
+    let b = measure_source_observed(SRC_B, b"", Mode::O, &profiled()).expect("B measures");
     let after = cache_stats();
     // B's build is served from A's entries: one compile hit, one asm hit
     // per machine, and nothing recompiled.
@@ -66,11 +66,8 @@ fn shared_cache_entries_still_profile_under_each_formattings_labels() {
     assert!(asm_hits >= 1, "assembly served from cache");
     assert_eq!(a.output(), b.output(), "formatting cannot change behavior");
 
-    for (m, prof, mine, theirs) in [
-        (&a, &prof_a, &label_a, &label_b),
-        (&b, &prof_b, &label_b, &label_a),
-    ] {
-        let d = prof.snapshot().expect("profiled run has data");
+    for (m, mine, theirs) in [(&a, &label_a, &label_b), (&b, &label_b, &label_a)] {
+        let d = m.observe.prof.snapshot().expect("profiled run has data");
         let out = m.outcome.as_ref().expect("run succeeded");
         assert!(
             out.heap.collections > 0,
