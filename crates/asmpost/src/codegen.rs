@@ -69,7 +69,6 @@ fn allocate(func: &FuncIr, machine: &Machine) -> Allocation {
         pos_of_block_start.push(pos);
         pos += b.instrs.len() as u32 + 1;
     }
-    let total = pos;
     // Intervals from defs/uses plus block-boundary liveness.
     let lv = Liveness::compute(func);
     let mut start: HashMap<Temp, u32> = HashMap::new();
@@ -137,7 +136,6 @@ fn allocate(func: &FuncIr, machine: &Machine) -> Allocation {
     let mut locs: HashMap<Temp, Loc> = HashMap::new();
     let mut spill_count = 0;
     let mut next_spill_off = func.frame_size;
-    let _ = total;
     for (t, s, e) in intervals {
         // Expire finished intervals. An interval ending exactly where the
         // next begins may share its register: the new temp's defining

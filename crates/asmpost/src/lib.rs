@@ -31,9 +31,10 @@ pub use peephole::{
 
 #[cfg(test)]
 mod postprocess_integration {
-    use crate::peephole::{defined_before_use, keep_live_bases_preserved};
-    use crate::{codegen_program, postprocess, Machine, Reg};
+    use crate::peephole::{keep_live_bases_preserved, successors};
+    use crate::{codegen_program, postprocess, AsmFunc, Machine, Reg};
     use cvm::{compile, CompileOptions};
+    use std::collections::HashSet;
 
     /// Registers implicitly defined at function entry: the frame pointer
     /// plus every allocatable and scratch register (parameters arrive in
@@ -81,5 +82,51 @@ mod postprocess_integration {
              int main(void) { return 0; }",
             "char f(char *x, long i) { return x[i + 3]; } int main(void) { return 0; }",
         ]
+    }
+
+    /// Def-before-use sanity check over a function's assembly: every register
+    /// read must be preceded by a write on every path (parameters and the
+    /// frame pointer are implicitly defined). Proves the postprocessor never
+    /// manufactures reads of undefined registers.
+    fn defined_before_use(f: &AsmFunc, predefined: &[Reg]) -> bool {
+        // Forward dataflow: set of definitely-defined registers per block entry.
+        let nb = f.blocks.len();
+        let all: HashSet<Reg> = (0..=255u8).map(Reg).collect();
+        let mut defined_in: Vec<HashSet<Reg>> = vec![all; nb];
+        defined_in[0] = predefined.iter().copied().collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for bi in 0..nb {
+                let mut cur = defined_in[bi].clone();
+                for ins in &f.blocks[bi].instrs {
+                    if let Some(d) = ins.writes() {
+                        cur.insert(d);
+                    }
+                }
+                for s in successors(f, bi) {
+                    let merged: HashSet<Reg> = defined_in[s].intersection(&cur).copied().collect();
+                    if merged != defined_in[s] {
+                        defined_in[s] = merged;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        // Check every read.
+        for (bi, entry) in defined_in.iter().enumerate() {
+            let mut cur = entry.clone();
+            for ins in &f.blocks[bi].instrs {
+                for r in ins.reads() {
+                    if !cur.contains(&r) {
+                        return false;
+                    }
+                }
+                if let Some(d) = ins.writes() {
+                    cur.insert(d);
+                }
+            }
+        }
+        true
     }
 }

@@ -21,8 +21,8 @@
 //! would lose them — the paper's safety arguments (1)–(3) hold verbatim.
 
 use crate::asm::{AsmFunc, AsmInstr, Reg, RegImm};
+use cvm::{Liveness, Temp, TempSet};
 use gctrace::{Event, TraceHandle};
-use std::collections::HashSet;
 
 /// What the postprocessor did to one function.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,99 +122,91 @@ pub fn postprocess(f: &mut AsmFunc) -> PeepholeStats {
 
 /// Successor block indices of block `bi` (Bcc targets, Ba target, and the
 /// fallthrough when the block does not end in `ba`/`ret`).
-fn successors(f: &AsmFunc, bi: usize) -> Vec<usize> {
+pub(crate) fn successors(f: &AsmFunc, bi: usize) -> Vec<usize> {
     let b = &f.blocks[bi];
-    let mut out = Vec::new();
-    for ins in &b.instrs {
-        if let AsmInstr::Bcc { target, .. } = ins {
-            out.push(*target as usize);
-        }
-    }
+    let mut out: Vec<usize> = b
+        .instrs
+        .iter()
+        .filter_map(|ins| match ins {
+            AsmInstr::Bcc { target, .. } => Some(*target as usize),
+            _ => None,
+        })
+        .collect();
     match b.instrs.last() {
         Some(AsmInstr::Ba { target }) => out.push(*target as usize),
         Some(AsmInstr::Ret) => {}
-        _ => {
-            if bi + 1 < f.blocks.len() {
-                out.push(bi + 1);
-            }
-        }
+        _ => out.push(bi + 1),
     }
     out.retain(|&s| s < f.blocks.len());
     out
 }
 
 /// Global register liveness over the assembly — the paper's "simple
-/// global, intraprocedural analysis".
-pub struct AsmLiveness {
-    /// Registers live at each block entry.
-    pub live_in: Vec<HashSet<Reg>>,
-    live_out: Vec<HashSet<Reg>>,
+/// global, intraprocedural analysis". Registers are the bits of cvm's
+/// [`TempSet`], and the fixpoint is cvm's [`Liveness::solve`].
+pub struct AsmLiveness(Liveness);
+
+/// Bit index of a register in a [`TempSet`].
+fn bit(r: Reg) -> Temp {
+    Temp(u32::from(r.0))
 }
 
 impl AsmLiveness {
     /// Computes liveness for a function. `KEEP_LIVE` markers read both
     /// their value and base registers, so protected values stay live.
     pub fn compute(f: &AsmFunc) -> AsmLiveness {
+        let regs = u32::from(u8::MAX) + 1;
         let nb = f.blocks.len();
-        let mut live_in = vec![HashSet::new(); nb];
-        let mut live_out = vec![HashSet::new(); nb];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for bi in (0..nb).rev() {
-                let mut out: HashSet<Reg> = HashSet::new();
-                for s in successors(f, bi) {
-                    out.extend(live_in[s].iter().copied());
-                }
-                let mut cur = out.clone();
-                for ins in f.blocks[bi].instrs.iter().rev() {
-                    if let Some(d) = ins.writes() {
-                        cur.remove(&d);
-                    }
-                    for r in ins.reads() {
-                        cur.insert(r);
+        let mut gen_sets = vec![TempSet::new(regs); nb];
+        let mut kill_sets = vec![TempSet::new(regs); nb];
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for ins in &b.instrs {
+                for r in ins.reads() {
+                    if !kill_sets[bi].contains(bit(r)) {
+                        gen_sets[bi].insert(bit(r));
                     }
                 }
-                if out != live_out[bi] {
-                    live_out[bi] = out;
-                    changed = true;
-                }
-                if cur != live_in[bi] {
-                    live_in[bi] = cur;
-                    changed = true;
+                if let Some(d) = ins.writes() {
+                    kill_sets[bi].insert(bit(d));
                 }
             }
         }
-        AsmLiveness { live_in, live_out }
+        let succs: Vec<Vec<usize>> = (0..nb).map(|bi| successors(f, bi)).collect();
+        AsmLiveness(Liveness::solve(regs, &succs, &gen_sets, &kill_sets))
     }
 
     /// Whether register `r` is live immediately *after* instruction `idx`
-    /// of block `bi`.
+    /// of block `bi`, stepping back from the block's live-out over the
+    /// block as it stands now.
     pub fn live_after(&self, f: &AsmFunc, bi: usize, idx: usize, r: Reg) -> bool {
-        let b = &f.blocks[bi];
-        let mut cur = self.live_out[bi].clone();
-        for j in (idx + 1..b.instrs.len()).rev() {
-            let ins = &b.instrs[j];
-            if let Some(d) = ins.writes() {
-                cur.remove(&d);
-            }
-            for x in ins.reads() {
-                cur.insert(x);
-            }
-        }
-        cur.contains(&r)
+        let later = f.blocks[bi].instrs.iter().skip(idx + 1).rev();
+        later.fold(self.0.live_out[bi].contains(bit(r)), |live, ins| {
+            ins.reads().contains(&r) || (live && ins.writes() != Some(r))
+        })
     }
 }
 
+/// One pass of the three patterns over every block. Each pattern sees
+/// liveness computed for the code as it stands: it is recomputed only
+/// after a rewrite, and every rewrite bumps a stat.
 fn one_round(f: &mut AsmFunc) -> PeepholeStats {
+    type Pattern = fn(&mut AsmFunc, usize, &AsmLiveness) -> PeepholeStats;
+    let patterns: [Pattern; 3] = [
+        pattern1_fold_load,
+        pattern3_fuse_add_mov,
+        pattern2_forward_mov,
+    ];
     let mut stats = PeepholeStats::default();
+    let mut fresh = None;
     for bi in 0..f.blocks.len() {
-        let lv = AsmLiveness::compute(f);
-        stats.merge(pattern1_fold_load(f, bi, &lv));
-        let lv = AsmLiveness::compute(f);
-        stats.merge(pattern3_fuse_add_mov(f, bi, &lv));
-        let lv = AsmLiveness::compute(f);
-        stats.merge(pattern2_forward_mov(f, bi, &lv));
+        for pattern in patterns {
+            let lv = fresh.take().unwrap_or_else(|| AsmLiveness::compute(f));
+            let round = pattern(f, bi, &lv);
+            if round.total() == 0 {
+                fresh = Some(lv);
+            }
+            stats.merge(round);
+        }
     }
     stats
 }
@@ -787,6 +779,58 @@ mod tests {
         assert!(sink.is_empty());
     }
 
+    /// The round structure liveness caching replaced: fresh liveness
+    /// before every pattern on every block.
+    fn postprocess_recomputing(f: &mut AsmFunc) -> PeepholeStats {
+        let mut stats = PeepholeStats::default();
+        loop {
+            let mut round = PeepholeStats::default();
+            for bi in 0..f.blocks.len() {
+                round.merge(pattern1_fold_load(f, bi, &AsmLiveness::compute(f)));
+                round.merge(pattern3_fuse_add_mov(f, bi, &AsmLiveness::compute(f)));
+                round.merge(pattern2_forward_mov(f, bi, &AsmLiveness::compute(f)));
+            }
+            if round.total() == 0 {
+                return stats;
+            }
+            stats.merge(round);
+        }
+    }
+
+    #[test]
+    fn cached_liveness_rewrites_exactly_like_fresh_liveness() {
+        use cvm::{compile, CompileOptions, Machine};
+        let mut programs: Vec<(String, String, CompileOptions)> = Vec::new();
+        for w in workloads::all() {
+            for (mode, opts) in [
+                ("O", CompileOptions::optimized()),
+                ("O-safe", CompileOptions::optimized_safe()),
+            ] {
+                programs.push((format!("{} {mode}", w.name), w.source.into(), opts));
+            }
+        }
+        for seed in 1..=3 {
+            for case in 0..40 {
+                programs.push((
+                    format!("gcfuzz seed {seed} case {case}"),
+                    gcfuzz::gen::generate(seed, case),
+                    CompileOptions::optimized_safe(),
+                ));
+            }
+        }
+        for (label, src, opts) in programs {
+            let prog = compile(&src, &opts).unwrap_or_else(|e| panic!("{label}: {e}"));
+            for machine in Machine::all() {
+                for f in crate::codegen_program(&prog, &machine) {
+                    let (mut cached, mut fresh) = (f.clone(), f);
+                    let stats = postprocess(&mut cached);
+                    assert_eq!(stats, postprocess_recomputing(&mut fresh), "{label}");
+                    assert_eq!(cached, fresh, "{label} {}", machine.name);
+                }
+            }
+        }
+    }
+
     #[test]
     fn liveness_respects_branches() {
         // r1 live into the branch target.
@@ -820,54 +864,7 @@ mod tests {
             spill_count: 0,
         };
         let lv = AsmLiveness::compute(&f);
-        assert!(lv.live_in[1].contains(&Reg(1)));
+        assert!(lv.0.live_in[1].contains(bit(Reg(1))));
         assert!(lv.live_after(&f, 0, 0, Reg(1)));
     }
-}
-
-/// Def-before-use sanity check over a function's assembly: every register
-/// read must be preceded by a write on every path (parameters and the
-/// frame pointer are implicitly defined). Used by tests to prove the
-/// postprocessor never manufactures reads of undefined registers.
-pub fn defined_before_use(f: &AsmFunc, predefined: &[Reg]) -> bool {
-    use std::collections::HashSet;
-    // Forward dataflow: set of definitely-defined registers per block entry.
-    let nb = f.blocks.len();
-    let all: HashSet<Reg> = (0..=255u8).map(Reg).collect();
-    let mut defined_in: Vec<HashSet<Reg>> = vec![all; nb];
-    defined_in[0] = predefined.iter().copied().collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bi in 0..nb {
-            let mut cur = defined_in[bi].clone();
-            for ins in &f.blocks[bi].instrs {
-                if let Some(d) = ins.writes() {
-                    cur.insert(d);
-                }
-            }
-            for s in successors(f, bi) {
-                let merged: HashSet<Reg> = defined_in[s].intersection(&cur).copied().collect();
-                if merged != defined_in[s] {
-                    defined_in[s] = merged;
-                    changed = true;
-                }
-            }
-        }
-    }
-    // Check every read.
-    for (bi, entry) in defined_in.iter().enumerate() {
-        let mut cur = entry.clone();
-        for ins in &f.blocks[bi].instrs {
-            for r in ins.reads() {
-                if !cur.contains(&r) {
-                    return false;
-                }
-            }
-            if let Some(d) = ins.writes() {
-                cur.insert(d);
-            }
-        }
-    }
-    true
 }

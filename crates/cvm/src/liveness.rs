@@ -10,7 +10,9 @@
 //! fix).
 //!
 //! The same analysis drives the peephole postprocessor's "register `z`
-//! should have no other uses" safety constraint.
+//! should have no other uses" safety constraint: [`Liveness::solve`] is
+//! the one backward fixpoint, and the postprocessor feeds it per-block
+//! register gen/kill sets.
 
 use crate::ir::{FuncIr, Instr, Temp};
 use std::collections::HashMap;
@@ -96,8 +98,6 @@ impl Liveness {
     pub fn compute(func: &FuncIr) -> Liveness {
         let n = func.temp_count;
         let nb = func.blocks.len();
-        let mut live_in = vec![TempSet::new(n); nb];
-        let mut live_out = vec![TempSet::new(n); nb];
         // use/def per block.
         let mut gen_sets = vec![TempSet::new(n); nb];
         let mut kill_sets = vec![TempSet::new(n); nb];
@@ -116,54 +116,42 @@ impl Liveness {
                 }
             }
         }
-        // Iterate to fixpoint.
+        let succs: Vec<Vec<usize>> = func
+            .blocks
+            .iter()
+            .map(|b| b.successors().iter().map(|s| s.0 as usize).collect())
+            .collect();
+        Self::solve(n, &succs, &gen_sets, &kill_sets)
+    }
+
+    /// The backward liveness fixpoint over any CFG: the least solution of
+    /// `out(b) = ⋃ in(s)` over `succs[b]` and
+    /// `in(b) = gen(b) ∪ (out(b) − kill(b))`. The IR temps of
+    /// [`Liveness::compute`] and the postprocessor's machine registers
+    /// both go through here.
+    pub fn solve(n: u32, succs: &[Vec<usize>], gens: &[TempSet], kills: &[TempSet]) -> Liveness {
+        let mut live_in = vec![TempSet::new(n); succs.len()];
+        let mut live_out = live_in.clone();
+        // Both sides only grow from empty, so unions in place reach the
+        // same least fixpoint as recomputing from scratch.
         let mut changed = true;
         while changed {
             changed = false;
-            for bi in (0..nb).rev() {
-                let mut out = TempSet::new(n);
-                for succ in func.blocks[bi].successors() {
-                    out.union_with(&live_in[succ.0 as usize]);
+            for bi in (0..succs.len()).rev() {
+                for &s in &succs[bi] {
+                    live_out[bi].union_with(&live_in[s]);
                 }
-                if live_out[bi] != out {
-                    live_out[bi] = out;
-                    changed = true;
-                }
-                // in = gen ∪ (out − kill)
-                let mut inn = gen_sets[bi].clone();
-                for t in live_out[bi].iter() {
-                    if !kill_sets[bi].contains(t) {
-                        inn.insert(t);
+                let words = live_in[bi].bits.iter_mut().zip(&live_out[bi].bits);
+                for (i, (w, &out)) in words.enumerate() {
+                    let new = gens[bi].bits[i] | (out & !kills[bi].bits[i]);
+                    if new != *w {
+                        *w = new;
+                        changed = true;
                     }
-                }
-                if live_in[bi] != inn {
-                    live_in[bi] = inn;
-                    changed = true;
                 }
             }
         }
         Liveness { live_in, live_out }
-    }
-
-    /// Walks block `bi` backwards and reports, for each instruction index,
-    /// the set of temps live *after* that instruction.
-    pub fn live_after_each(&self, func: &FuncIr, bi: usize) -> Vec<TempSet> {
-        let b = &func.blocks[bi];
-        let mut out = vec![TempSet::new(func.temp_count); b.instrs.len()];
-        let mut cur = self.live_out[bi].clone();
-        let mut uses = Vec::new();
-        for (i, ins) in b.instrs.iter().enumerate().rev() {
-            out[i] = cur.clone();
-            if let Some(d) = ins.dst() {
-                cur.remove(d);
-            }
-            uses.clear();
-            ins.uses(&mut uses);
-            for &u in &uses {
-                cur.insert(u);
-            }
-        }
-        out
     }
 }
 
@@ -174,15 +162,23 @@ impl Liveness {
 pub fn gc_root_maps(func: &FuncIr) -> HashMap<(u32, u32), Vec<Temp>> {
     let lv = Liveness::compute(func);
     let mut maps = HashMap::new();
-    for bi in 0..func.blocks.len() {
-        let after = lv.live_after_each(func, bi);
-        for (ii, ins) in func.blocks[bi].instrs.iter().enumerate() {
+    let mut uses = Vec::new();
+    for (bi, b) in func.blocks.iter().enumerate() {
+        // Step back from the block's live-out; `live` holds the temps
+        // live after `ins`.
+        let mut live = lv.live_out[bi].clone();
+        for (ii, ins) in b.instrs.iter().enumerate().rev() {
             if let Instr::Call { dst, .. } = ins {
-                let mut roots: Vec<Temp> = after[ii].iter().collect();
-                if let Some(d) = dst {
-                    roots.retain(|t| t != d);
-                }
+                let roots = live.iter().filter(|t| Some(*t) != *dst).collect();
                 maps.insert((bi as u32, ii as u32), roots);
+            }
+            if let Some(d) = ins.dst() {
+                live.remove(d);
+            }
+            uses.clear();
+            ins.uses(&mut uses);
+            for &u in &uses {
+                live.insert(u);
             }
         }
     }

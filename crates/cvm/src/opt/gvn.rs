@@ -22,7 +22,7 @@
 //! contradicting source-dominates-target), so the source's result is
 //! recomputed from the operand value the target would have used.
 
-use super::cfg::dominators;
+use super::cfg::{Cfg, Dominance};
 use crate::ir::*;
 use std::collections::HashMap;
 
@@ -48,7 +48,7 @@ pub fn gvn(f: &mut FuncIr) -> usize {
         Operand::Temp(t) => defs.get(&t).copied().unwrap_or(0) <= 1,
         Operand::Const(_) => true,
     };
-    let dom = dominators(f);
+    let dom = Dominance::new(&Cfg::new(f));
     // An operand value is pinned at position `at` when it is a constant,
     // a never-redefined param, a never-written temp (the VM's
     // zero-initialised frame), or a single-def temp whose definition
@@ -58,7 +58,7 @@ pub fn gvn(f: &mut FuncIr) -> usize {
         Operand::Temp(t) => match def_site.get(&t) {
             None => true, // param entry binding or never written
             Some(&(dbi, dii)) => {
-                (dbi == at.0 && dii < at.1) || (dbi != at.0 && dom[at.0].contains(&dbi))
+                (dbi == at.0 && dii < at.1) || (dbi != at.0 && dom.dominates(dbi, at.0))
             }
         },
     };
@@ -116,7 +116,7 @@ pub fn gvn(f: &mut FuncIr) -> usize {
                     s.source
                         && s.dst != target.dst
                         && ((s.bi == target.bi && s.ii < target.ii)
-                            || (s.bi != target.bi && dom[target.bi].contains(&s.bi)))
+                            || (s.bi != target.bi && dom.dominates(s.bi, target.bi)))
                 })
                 .min_by_key(|s| (s.bi, s.ii));
             if let Some(s) = src {

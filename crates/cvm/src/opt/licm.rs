@@ -1,6 +1,6 @@
 //! Loop-invariant code motion.
 
-use super::cfg::{back_edges, dominators, insert_preheader, loop_blocks};
+use super::cfg::{back_edges, insert_preheader, loop_blocks, Cfg, Dominance};
 use crate::ir::*;
 use std::collections::HashMap;
 
@@ -18,20 +18,20 @@ use std::collections::HashMap;
 ///
 /// Returns the number of instructions hoisted to preheaders.
 pub fn licm(f: &mut FuncIr) -> usize {
-    let dom = dominators(f);
+    let mut cfg = Cfg::new(f);
     let mut hoisted = 0usize;
-    for (latch, header) in back_edges(f, &dom) {
+    for (latch, header) in back_edges(&cfg, &Dominance::new(&cfg)) {
         if header == 0 {
             continue; // entry block cannot take a preheader safely
         }
-        hoisted += hoist_loop(f, latch, header);
+        hoisted += hoist_loop(f, &mut cfg, latch, header);
     }
     hoisted
 }
 
-fn hoist_loop(f: &mut FuncIr, latch: usize, header: usize) -> usize {
+fn hoist_loop(f: &mut FuncIr, cfg: &mut Cfg, latch: usize, header: usize) -> usize {
     use crate::liveness::Liveness;
-    let blocks = loop_blocks(f, latch, header);
+    let blocks = loop_blocks(cfg, latch, header);
     let in_loop = |b: usize| blocks.contains(&b);
     // Definition counts inside the loop.
     let mut defs_in_loop: HashMap<Temp, usize> = HashMap::new();
@@ -96,7 +96,7 @@ fn hoist_loop(f: &mut FuncIr, latch: usize, header: usize) -> usize {
         pre_instrs.push(ins);
     }
     pre_instrs.reverse();
-    insert_preheader(f, header, in_loop, pre_instrs);
+    insert_preheader(f, cfg, header, in_loop, pre_instrs);
     to_hoist.len()
 }
 

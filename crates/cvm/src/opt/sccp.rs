@@ -23,13 +23,13 @@
 //! loop-carried temp otherwise observe the VM's zero-initialised frame,
 //! not a definition on a dominating path).
 
-use super::cfg::dominators_masked;
+use super::cfg::{Cfg, Dominance};
 use super::rewrite_operands;
 use crate::ir::*;
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lat {
+pub(super) enum Lat {
     Unknown,
     Const(i64),
     Varying,
@@ -46,12 +46,57 @@ fn join(a: Lat, b: Lat) -> Lat {
 /// Runs sparse conditional constant propagation; returns the number of
 /// operands rewritten to constants.
 pub fn sccp(f: &mut FuncIr) -> usize {
+    if f.blocks.is_empty() {
+        return 0;
+    }
+    let (reach, lat) = propagate(f);
+    // Transform: rewrite dominated uses of constant temps in reachable
+    // blocks into immediates. Dominance is taken over the reachable
+    // subgraph: an unreachable arm of a merge must not hide that the
+    // reachable definition covers every executable path.
+    let dom = Dominance::within(&Cfg::new(f), &reach);
+    let mut def_sites: HashMap<Temp, Vec<(usize, usize)>> = HashMap::new();
+    for (bi, b) in f.blocks.iter().enumerate() {
+        if !reach[bi] {
+            continue;
+        }
+        for (ii, ins) in b.instrs.iter().enumerate() {
+            if let Some(d) = ins.dst() {
+                def_sites.entry(d).or_default().push((bi, ii));
+            }
+        }
+    }
+    let mut fires = 0usize;
+    for (bi, _) in reach.iter().enumerate().filter(|(_, &r)| r) {
+        for ii in 0..f.blocks[bi].instrs.len() {
+            let dominated = |t: Temp| {
+                def_sites.get(&t).is_some_and(|sites| {
+                    sites.iter().any(|&(dbi, dii)| {
+                        (dbi == bi && dii < ii) || (dbi != bi && dom.dominates(dbi, bi))
+                    })
+                })
+            };
+            rewrite_operands(&mut f.blocks[bi].instrs[ii], |o| match o {
+                Operand::Temp(t) => match lat.get(t.0 as usize) {
+                    Some(Lat::Const(c)) if dominated(t) => {
+                        fires += 1;
+                        Operand::Const(*c)
+                    }
+                    _ => o,
+                },
+                c => c,
+            });
+        }
+    }
+    fires
+}
+
+/// The executable blocks of a non-empty `f` and the lattice value of
+/// every temp over them.
+pub(super) fn propagate(f: &FuncIr) -> (Vec<bool>, Vec<Lat>) {
     let n = f.blocks.len();
     let tn = f.temp_count as usize;
     let mut reach = vec![false; n];
-    if n == 0 {
-        return 0;
-    }
     reach[0] = true;
     let mut lat = vec![Lat::Unknown; tn];
     for &p in &f.param_temps {
@@ -120,46 +165,5 @@ pub fn sccp(f: &mut FuncIr) -> usize {
             break;
         }
     }
-    // Transform: rewrite dominated uses of constant temps in reachable
-    // blocks into immediates. Dominance is taken over the reachable
-    // subgraph: an unreachable arm of a merge must not hide that the
-    // reachable definition covers every executable path.
-    let dom = dominators_masked(f, &reach);
-    let mut def_sites: HashMap<Temp, Vec<(usize, usize)>> = HashMap::new();
-    for (bi, b) in f.blocks.iter().enumerate() {
-        if !reach[bi] {
-            continue;
-        }
-        for (ii, ins) in b.instrs.iter().enumerate() {
-            if let Some(d) = ins.dst() {
-                def_sites.entry(d).or_default().push((bi, ii));
-            }
-        }
-    }
-    let mut fires = 0usize;
-    for bi in 0..n {
-        if !reach[bi] {
-            continue;
-        }
-        for ii in 0..f.blocks[bi].instrs.len() {
-            let dominated = |t: Temp| {
-                def_sites.get(&t).is_some_and(|sites| {
-                    sites.iter().any(|&(dbi, dii)| {
-                        (dbi == bi && dii < ii) || (dbi != bi && dom[bi].contains(&dbi))
-                    })
-                })
-            };
-            rewrite_operands(&mut f.blocks[bi].instrs[ii], |o| match o {
-                Operand::Temp(t) => match lat.get(t.0 as usize) {
-                    Some(Lat::Const(c)) if dominated(t) => {
-                        fires += 1;
-                        Operand::Const(*c)
-                    }
-                    _ => o,
-                },
-                c => c,
-            });
-        }
-    }
-    fires
+    (reach, lat)
 }

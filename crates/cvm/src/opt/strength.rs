@@ -36,7 +36,7 @@
 //! `ptr` across the increment (anti-dependence) and is block-local, so
 //! the invariant survives later sweeps.
 
-use super::cfg::{back_edges, dominators, loop_blocks};
+use super::cfg::{back_edges, insert_preheader, loop_blocks, Cfg, Dominance};
 use super::count_uses;
 use crate::ir::*;
 use crate::liveness::Liveness;
@@ -45,12 +45,12 @@ use std::collections::{BTreeMap, HashMap};
 /// Runs induction-variable strength reduction on address arithmetic;
 /// returns the number of `base + j*s` computations reduced.
 pub fn strength_reduce(f: &mut FuncIr) -> usize {
-    let dom = dominators(f);
+    let mut cfg = Cfg::new(f);
     // Group latches by header: a header with several back edges
     // (`continue` statements) has the union of their natural loops as
     // its body, and per-latch views would miscount in-loop definitions.
     let mut loops: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (latch, header) in back_edges(f, &dom) {
+    for (latch, header) in back_edges(&cfg, &Dominance::new(&cfg)) {
         if header == 0 {
             continue; // entry block cannot take a preheader safely
         }
@@ -62,7 +62,7 @@ pub fn strength_reduce(f: &mut FuncIr) -> usize {
         // and shifts instruction indices, so candidate positions must be
         // fresh. Block ids of existing blocks never change, so the
         // header/latch ids collected above stay valid.
-        fires += reduce_loop(f, header, &latches);
+        fires += reduce_loop(f, &mut cfg, header, &latches);
     }
     fires
 }
@@ -84,10 +84,10 @@ struct Candidate {
     base: Operand,
 }
 
-fn reduce_loop(f: &mut FuncIr, header: usize, latches: &[usize]) -> usize {
+fn reduce_loop(f: &mut FuncIr, cfg: &mut Cfg, header: usize, latches: &[usize]) -> usize {
     let mut in_loop = vec![false; f.blocks.len()];
     for &latch in latches {
-        for bi in loop_blocks(f, latch, header) {
+        for bi in loop_blocks(cfg, latch, header) {
             in_loop[bi] = true;
         }
     }
@@ -366,6 +366,7 @@ fn reduce_loop(f: &mut FuncIr, header: usize, latches: &[usize]) -> usize {
     for (bi, ii, ins) in inserts.into_iter().rev() {
         f.blocks[bi].instrs.insert(ii + 1, ins);
     }
-    super::cfg::insert_preheader(f, header, |b| in_loop.get(b).copied().unwrap_or(false), pre);
+    let inside = |b: usize| in_loop.get(b).copied().unwrap_or(false);
+    insert_preheader(f, cfg, header, inside, pre);
     cands.len()
 }

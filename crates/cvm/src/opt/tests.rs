@@ -1185,3 +1185,134 @@ mod allocation_preservation_tests {
         }
     }
 }
+
+/// The optimizer's dominance answers against the set-based fixpoint they
+/// replaced, on real and generated programs.
+mod dominance_oracle {
+    use super::super::cfg::{Cfg, Dominance};
+    use super::super::sccp::propagate;
+    use super::super::{registry, FIXPOINT_SWEEP_CAP};
+    use crate::{compile, CompileOptions, FuncIr, OptOptions};
+    use std::collections::HashSet;
+
+    /// Dominator sets by iterated intersection: the maximal fixpoint of
+    /// `dom(b) = {b} ∪ ⋂ dom(p)` over predecessors inside `mask`, with
+    /// block 0 pinned to `{0}`. Blocks outside `mask`, and blocks the
+    /// iteration never reaches, keep the full set.
+    fn set_dominators(f: &FuncIr, mask: &[bool]) -> Vec<HashSet<usize>> {
+        let n = f.blocks.len();
+        let all: HashSet<usize> = (0..n).collect();
+        let mut dom: Vec<HashSet<usize>> = vec![all; n];
+        if n == 0 || !mask[0] {
+            return dom;
+        }
+        dom[0] = HashSet::from([0]);
+        let preds: Vec<Vec<usize>> = (0..n)
+            .map(|b| {
+                (0..n)
+                    .filter(|&p| mask[p])
+                    .filter(|&p| f.blocks[p].successors().iter().any(|s| s.0 as usize == b))
+                    .collect()
+            })
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (1..n).filter(|&b| mask[b]) {
+                let mut new: Option<HashSet<usize>> = None;
+                for &p in &preds[b] {
+                    new = Some(match new {
+                        None => dom[p].clone(),
+                        Some(acc) => acc.intersection(&dom[p]).copied().collect(),
+                    });
+                }
+                let mut new = new.unwrap_or_default();
+                new.insert(b);
+                if new != dom[b] {
+                    dom[b] = new;
+                    changed = true;
+                }
+            }
+        }
+        dom
+    }
+
+    /// Every block pair, over the whole CFG and over SCCP's executable
+    /// blocks.
+    fn check(f: &FuncIr, what: &str) {
+        let n = f.blocks.len();
+        let cfg = Cfg::new(f);
+        let everything = vec![true; n];
+        let executable = if n == 0 { Vec::new() } else { propagate(f).0 };
+        for mask in [&everything, &executable] {
+            let dom = Dominance::within(&cfg, mask);
+            let sets = set_dominators(f, mask);
+            for (b, set) in sets.iter().enumerate() {
+                for d in 0..n {
+                    assert_eq!(
+                        dom.dominates(d, b),
+                        set.contains(&d),
+                        "{what}: does bb{d} dominate bb{b} (mask {mask:?})?\n{}",
+                        f.dump()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Checks every function of `src` before optimisation, before each
+    /// call of a pass that asks for dominance, and after the driver's
+    /// fixpoint, under the compile options of all five modes (`-O safe`
+    /// with the postprocessor shares `-O safe`'s IR).
+    fn check_program(src: &str, label: &str) {
+        let modes = [
+            ("O", CompileOptions::optimized()),
+            ("O-safe", CompileOptions::optimized_safe()),
+            ("g", CompileOptions::debug()),
+            ("g-checked", CompileOptions::debug_checked()),
+        ];
+        for (mode, opts) in modes {
+            let unoptimized = CompileOptions {
+                opt: OptOptions::none(),
+                ..opts.clone()
+            };
+            let before = compile(src, &unoptimized).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let after = compile(src, &opts).unwrap_or_else(|e| panic!("{label}: {e}"));
+            for (mut f, want) in before.funcs.into_iter().zip(&after.funcs) {
+                let what = format!("{label} {mode} {}", f.name);
+                check(&f, &format!("{what} before"));
+                for _ in 0..FIXPOINT_SWEEP_CAP * usize::from(opts.opt.enabled) {
+                    let mut fires = 0;
+                    for p in registry().iter().filter(|p| p.enabled(&opts.opt)) {
+                        if ["sccp", "gvn", "licm", "strength"].contains(&p.name()) {
+                            check(&f, &format!("{what} at {}", p.name()));
+                        }
+                        fires += p.run(&mut f);
+                    }
+                    if fires == 0 {
+                        break;
+                    }
+                }
+                assert_eq!(&f, want, "{what}: replayed driver diverged");
+                check(&f, &format!("{what} after"));
+            }
+        }
+    }
+
+    #[test]
+    fn tree_dominance_matches_set_fixpoint_on_workloads() {
+        for w in workloads::all() {
+            check_program(w.source, w.name);
+        }
+    }
+
+    #[test]
+    fn tree_dominance_matches_set_fixpoint_on_generated_programs() {
+        for seed in 1..=3 {
+            for case in 0..200 {
+                let src = gcfuzz::gen::generate(seed, case);
+                check_program(&src, &format!("gcfuzz seed {seed} case {case}"));
+            }
+        }
+    }
+}

@@ -1,7 +1,9 @@
 //! Reachability, immediate dominators, and retained sizes over a
 //! [`Snapshot`]'s stable node ids.
 //!
-//! The dominator tree is computed with the iterative Cooper–Harvey–
+//! [`dominator_tree`] is graph-generic (nodes `0..n`, a root list, a
+//! successor function); the optimizer's CFG dominance in `cvm` uses it
+//! too. The dominator tree is computed with the iterative Cooper–Harvey–
 //! Kennedy algorithm ("A Simple, Fast Dominance Algorithm") over a
 //! virtual root connected to every root-referenced node: process nodes
 //! in reverse postorder, intersecting the candidate dominators of each
@@ -60,66 +62,73 @@ pub struct SiteRollup {
     pub retained_bytes: u64,
 }
 
-/// Computes reachability, dominators, and retained sizes for `snap`.
-pub fn analyze(snap: &Snapshot) -> Analysis {
-    let n = snap.nodes.len();
-    let mut a = Analysis {
-        reachable: vec![false; n],
-        idom: vec![VIRTUAL_ROOT; n],
-        retained: vec![0; n],
-        ..Analysis::default()
-    };
-    // Virtual-root successors: the unique root-referenced nodes,
-    // ascending (RootRefs are sorted by node id).
-    let mut root_succ: Vec<u32> = snap.roots.iter().map(|r| r.node).collect();
-    root_succ.dedup();
+/// The dominator tree of a graph hung off a virtual root.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DomTree {
+    /// Per node: immediate dominator; [`VIRTUAL_ROOT`] when only the
+    /// root set dominates it, and for unreached nodes.
+    pub idom: Vec<u32>,
+    /// Per node: reached from the roots.
+    pub reachable: Vec<bool>,
+    /// Reached nodes in reverse postorder (idoms first).
+    pub rpo: Vec<u32>,
+}
 
+/// Immediate dominators of the graph on nodes `0..n` with edges
+/// `succs(v)`, under a virtual root whose successors are `roots`. Both
+/// [`analyze`] and the optimizer's CFG dominance call it.
+pub fn dominator_tree<I: IntoIterator<Item = u32>>(
+    n: usize,
+    roots: &[u32],
+    succs: impl Fn(u32) -> I,
+) -> DomTree {
+    let mut t = DomTree {
+        idom: vec![VIRTUAL_ROOT; n],
+        reachable: vec![false; n],
+        rpo: Vec::new(),
+    };
     // Reverse postorder over the reachable subgraph from the virtual
-    // root, iteratively (node, next-child-index). The virtual root is
-    // not numbered; `order` holds real node ids in postorder.
+    // root, iteratively (node, remaining successors). The virtual root
+    // is not numbered; `post` holds real node ids in postorder.
     let mut post: Vec<u32> = Vec::new();
-    let mut state: Vec<(u32, usize)> = Vec::new();
-    for &r in &root_succ {
-        if a.reachable[r as usize] {
+    let mut state: Vec<(u32, I::IntoIter)> = Vec::new();
+    for &r in roots {
+        if t.reachable[r as usize] {
             continue;
         }
-        a.reachable[r as usize] = true;
-        state.push((r, 0));
-        while let Some(&mut (v, ref mut ci)) = state.last_mut() {
-            let edges = &snap.nodes[v as usize].edges;
-            if *ci < edges.len() {
-                let t = edges[*ci];
-                *ci += 1;
-                if !a.reachable[t as usize] {
-                    a.reachable[t as usize] = true;
-                    state.push((t, 0));
+        t.reachable[r as usize] = true;
+        state.push((r, succs(r).into_iter()));
+        while let Some((v, edges)) = state.last_mut() {
+            match edges.next() {
+                Some(s) if !t.reachable[s as usize] => {
+                    t.reachable[s as usize] = true;
+                    state.push((s, succs(s).into_iter()));
                 }
-            } else {
-                post.push(v);
-                state.pop();
+                Some(_) => {}
+                None => {
+                    post.push(*v);
+                    state.pop();
+                }
             }
         }
     }
-    let rpo: Vec<u32> = post.iter().rev().copied().collect();
+    t.rpo = post.into_iter().rev().collect();
     // rpo_num: position in reverse postorder; the virtual root is
     // implicitly before everything.
     let mut rpo_num = vec![u32::MAX; n];
-    for (i, &v) in rpo.iter().enumerate() {
+    for (i, &v) in t.rpo.iter().enumerate() {
         rpo_num[v as usize] = i as u32;
     }
 
     // Predecessor lists over the reachable subgraph, plus the virtual
-    // root as predecessor of every root-referenced node.
+    // root as predecessor of every root.
     let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &r in &root_succ {
+    for &r in roots {
         preds[r as usize].push(VIRTUAL_ROOT);
     }
-    for (v, node) in snap.nodes.iter().enumerate() {
-        if !a.reachable[v] {
-            continue;
-        }
-        for &t in &node.edges {
-            preds[t as usize].push(v as u32);
+    for &v in &t.rpo {
+        for s in succs(v) {
+            preds[s as usize].push(v);
         }
     }
 
@@ -127,28 +136,25 @@ pub fn analyze(snap: &Snapshot) -> Analysis {
     // VIRTUAL_ROOT sentinel plus a `defined` bitmap so "undefined" and
     // "dominated by the root set" stay distinct during iteration).
     let mut defined = vec![false; n];
-    let intersect = |idom: &[u32], defined: &[bool], rpo_num: &[u32], mut x: u32, mut y: u32| {
-        loop {
-            if x == y {
-                return x;
-            }
-            if x == VIRTUAL_ROOT || y == VIRTUAL_ROOT {
-                return VIRTUAL_ROOT;
-            }
-            // Walk the deeper (larger rpo number) side up.
-            if rpo_num[x as usize] > rpo_num[y as usize] {
-                debug_assert!(defined[x as usize]);
-                x = idom[x as usize];
-            } else {
-                debug_assert!(defined[y as usize]);
-                y = idom[y as usize];
-            }
+    let intersect = |idom: &[u32], mut x: u32, mut y: u32| loop {
+        if x == y {
+            return x;
+        }
+        if x == VIRTUAL_ROOT || y == VIRTUAL_ROOT {
+            return VIRTUAL_ROOT;
+        }
+        // Walk the deeper (larger rpo number) side up; both sides are
+        // processed nodes, so their idoms are defined.
+        if rpo_num[x as usize] > rpo_num[y as usize] {
+            x = idom[x as usize];
+        } else {
+            y = idom[y as usize];
         }
     };
     let mut changed = true;
     while changed {
         changed = false;
-        for &v in &rpo {
+        for &v in &t.rpo {
             let mut new_idom: Option<u32> = None;
             for &p in &preds[v as usize] {
                 if p != VIRTUAL_ROOT && !defined[p as usize] {
@@ -156,25 +162,39 @@ pub fn analyze(snap: &Snapshot) -> Analysis {
                 }
                 new_idom = Some(match new_idom {
                     None => p,
-                    Some(cur) => intersect(&a.idom, &defined, &rpo_num, p, cur),
+                    Some(cur) => intersect(&t.idom, p, cur),
                 });
             }
             let new_idom = new_idom.expect("reachable node has a processed predecessor");
-            if !defined[v as usize] || a.idom[v as usize] != new_idom {
-                a.idom[v as usize] = new_idom;
+            if !defined[v as usize] || t.idom[v as usize] != new_idom {
+                t.idom[v as usize] = new_idom;
                 defined[v as usize] = true;
                 changed = true;
             }
         }
     }
+    t
+}
+
+/// Computes reachability, dominators, and retained sizes for `snap`.
+pub fn analyze(snap: &Snapshot) -> Analysis {
+    let n = snap.nodes.len();
+    let roots: Vec<u32> = snap.roots.iter().map(|r| r.node).collect();
+    let tree = dominator_tree(n, &roots, |v| snap.nodes[v as usize].edges.iter().copied());
+    let mut a = Analysis {
+        reachable: tree.reachable,
+        idom: tree.idom,
+        retained: vec![0; n],
+        ..Analysis::default()
+    };
 
     // Retained sizes: seed with own size, then fold each node into its
     // immediate dominator in reverse RPO (children before ancestors —
     // an idom always precedes its dominated nodes in RPO).
-    for &v in &rpo {
+    for &v in &tree.rpo {
         a.retained[v as usize] = snap.nodes[v as usize].size;
     }
-    for &v in rpo.iter().rev() {
+    for &v in tree.rpo.iter().rev() {
         let d = a.idom[v as usize];
         if d != VIRTUAL_ROOT {
             a.retained[d as usize] += a.retained[v as usize];
@@ -421,6 +441,33 @@ mod tests {
                 s.bytes(),
                 "case {case}"
             );
+        }
+    }
+
+    #[test]
+    fn dominator_tree_hangs_every_root_off_the_virtual_root() {
+        // Roots 0 and 3; 0 -> 1 -> 2, 3 -> 2, 0 -> 0; 4 <-> 5 unreached.
+        let succs: Vec<Vec<u32>> = vec![vec![1, 0], vec![2], vec![], vec![2], vec![5], vec![4]];
+        let t = dominator_tree(6, &[0, 3, 0], |v| succs[v as usize].iter().copied());
+        assert_eq!(
+            t.idom,
+            vec![
+                VIRTUAL_ROOT,
+                0,
+                VIRTUAL_ROOT,
+                VIRTUAL_ROOT,
+                VIRTUAL_ROOT,
+                VIRTUAL_ROOT
+            ]
+        );
+        assert_eq!(t.reachable, vec![true, true, true, true, false, false]);
+        assert_eq!(t.rpo.len(), 4);
+        for &v in &t.rpo {
+            let d = t.idom[v as usize];
+            if d != VIRTUAL_ROOT {
+                let pos = |x: u32| t.rpo.iter().position(|&y| y == x);
+                assert!(pos(d) < pos(v), "idom {d} precedes {v} in rpo");
+            }
         }
     }
 

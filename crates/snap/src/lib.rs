@@ -27,6 +27,7 @@ mod dominators;
 pub mod schema;
 
 pub use dominators::{analyze, site_rollup, Analysis, SiteRollup, UNATTRIBUTED, VIRTUAL_ROOT};
+pub use dominators::{dominator_tree, DomTree};
 pub use schema::{to_json, validate, ParsedSnap};
 
 /// One heap object in a snapshot. Its id is its index in
