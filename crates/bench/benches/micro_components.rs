@@ -1,7 +1,8 @@
 //! Component microbenchmarks: the substrates' hot paths (parser, sema,
-//! annotator, collector, page-map lookups) plus an ablation of the
-//! annotator's optimizations, and the end-to-end `measure_workload`
-//! path with tracing disabled (the NullSink overhead guard).
+//! annotator, collector, page-map lookups, VM dispatch in ns/step) plus
+//! an ablation of the annotator's optimizations, and the end-to-end
+//! `measure_workload` path with tracing disabled (the NullSink overhead
+//! guard).
 
 mod timing;
 
@@ -63,6 +64,27 @@ fn main() {
             }
             acc
         });
+    }
+
+    // VM dispatch: one `-O safe` run per paper workload on its tiny
+    // input, reported per executed IR instruction so dispatch speed is
+    // comparable across programs and machines.
+    for w in workloads::all() {
+        let prog =
+            cvm::compile(w.source, &cvm::CompileOptions::optimized_safe()).expect("compiles");
+        let vopts = cvm::VmOptions {
+            input: (w.input)(workloads::Scale::Tiny),
+            ..cvm::VmOptions::default()
+        };
+        let steps = cvm::run_compiled(&prog, &vopts).expect("runs").steps;
+        let median = bench(&format!("vm_{}", w.name), 3, 30, || {
+            cvm::run_compiled(&prog, &vopts).expect("runs")
+        });
+        println!(
+            "{:<28} {:.2} ns/step ({steps} steps)",
+            format!("vm_{}", w.name),
+            median as f64 / steps as f64
+        );
     }
 
     // NullSink guard: the traced pipeline with tracing disabled must

@@ -91,7 +91,7 @@ fn alloc_at_safe_point(
     size: u64,
     live: &[u64],
 ) -> Option<u64> {
-    heap.alloc_with_roots_sited(mem, size, &roots_of(live), Some("micro"))
+    heap.alloc_with_roots_sited(mem, size, || roots_of(live), Some("micro"))
         .ok()
 }
 

@@ -44,7 +44,7 @@ fn leak_diff_names_the_leaking_site_with_retained_bytes() {
     let churn = |heap: &mut GcHeap, mem: &mut Memory, steady: &mut Vec<u64>, leaked: &[u64]| {
         let r = roots(&[steady.clone(), leaked.to_vec()]);
         let a = heap
-            .alloc_with_roots_sited(mem, 48, &r, Some(STEADY))
+            .alloc_with_roots_sited(mem, 48, || &r, Some(STEADY))
             .expect("steady alloc");
         steady.push(a);
         if steady.len() > 32 {
@@ -65,7 +65,7 @@ fn leak_diff_names_the_leaking_site_with_retained_bytes() {
         churn(&mut heap, &mut mem, &mut steady, &leaked);
         let r = roots(&[steady.clone(), leaked.clone()]);
         let l = heap
-            .alloc_with_roots_sited(&mut mem, 64, &r, Some(LEAK))
+            .alloc_with_roots_sited(&mut mem, 64, || &r, Some(LEAK))
             .expect("leak alloc");
         leaked.push(l);
     }

@@ -155,13 +155,13 @@ impl Liveness {
     }
 }
 
-/// For every GC point (a `Call` instruction — collections happen inside
-/// allocation, per the paper's call-site model), the temps whose values
-/// must be treated as roots while the callee runs: everything live after
-/// the call, minus its own result.
-pub fn gc_root_maps(func: &FuncIr) -> HashMap<(u32, u32), Vec<Temp>> {
+/// The walk behind [`gc_root_maps`]: calls `visit(block, index, roots)`
+/// for every GC point, with its roots in ascending order.
+pub(crate) fn for_each_gc_point(
+    func: &FuncIr,
+    mut visit: impl FnMut(usize, usize, &mut dyn Iterator<Item = Temp>),
+) {
     let lv = Liveness::compute(func);
-    let mut maps = HashMap::new();
     let mut uses = Vec::new();
     for (bi, b) in func.blocks.iter().enumerate() {
         // Step back from the block's live-out; `live` holds the temps
@@ -169,8 +169,7 @@ pub fn gc_root_maps(func: &FuncIr) -> HashMap<(u32, u32), Vec<Temp>> {
         let mut live = lv.live_out[bi].clone();
         for (ii, ins) in b.instrs.iter().enumerate().rev() {
             if let Instr::Call { dst, .. } = ins {
-                let roots = live.iter().filter(|t| Some(*t) != *dst).collect();
-                maps.insert((bi as u32, ii as u32), roots);
+                visit(bi, ii, &mut live.iter().filter(|t| Some(*t) != *dst));
             }
             if let Some(d) = ins.dst() {
                 live.remove(d);
@@ -182,6 +181,17 @@ pub fn gc_root_maps(func: &FuncIr) -> HashMap<(u32, u32), Vec<Temp>> {
             }
         }
     }
+}
+
+/// For every GC point (a `Call` instruction — collections happen inside
+/// allocation, per the paper's call-site model), the temps whose values
+/// must be treated as roots while the callee runs: everything live after
+/// the call, minus its own result. Keyed by `(block, index)`.
+pub fn gc_root_maps(func: &FuncIr) -> HashMap<(u32, u32), Vec<Temp>> {
+    let mut maps = HashMap::new();
+    for_each_gc_point(func, |bi, ii, roots| {
+        maps.insert((bi as u32, ii as u32), roots.collect());
+    });
     maps
 }
 

@@ -7,18 +7,35 @@
 //! * the globals region and the live portion of the stack (frame slots),
 //!   scanned conservatively word-by-word, and
 //! * per suspended frame, exactly the temps *live across the active call*
-//!   (from [`crate::liveness::gc_root_maps`]) — the VM's "registers".
+//!   — the VM's "registers".
 //!
 //! Dead temps are not roots. That is what makes the paper's disguised-
 //! pointer hazard reproducible: optimize away the last live copy of a
 //! pointer and the object really is collected under your feet.
+//!
+//! Each run first decodes every function into one flat array of `Copy`
+//! ops: blocks concatenated, jump targets resolved to a pc plus the
+//! block index they count, operands resolved to frame slots (immediates
+//! get slots of their own after the temps). Each call op names a call
+//! site that carries its argument slots and its GC-root slots — the
+//! temps [`crate::liveness::gc_root_maps`] finds live across it. All
+//! frames share one register stack; a call appends the callee's slots
+//! and writes the arguments straight into them. The collector asks for
+//! roots only when an allocation runs collector work, and the root walk
+//! then reads each frame's roots from the call site it is suspended at.
+//!
+//! The decoded form changes how fast the VM runs, never what it
+//! reports: block counts, builtin counts, steps, output, errors and
+//! collector statistics are those of executing the IR one instruction
+//! at a time (`tests/vm_pin.rs` pins them).
 
 use crate::ir::*;
-use crate::liveness::gc_root_maps;
+use crate::liveness::for_each_gc_point;
 use cfront::sema::Builtin;
-use gcheap::{GcHeap, HeapConfig, HeapStats, MemFault, Memory, RootSet, GLOBAL_BASE};
+use gcheap::{GcHeap, HeapConfig, HeapStats, MemFault, Memory, RootSet, GLOBAL_BASE, HEAP_BASE};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// VM configuration.
 #[derive(Debug, Clone)]
@@ -83,7 +100,7 @@ impl Default for VmOptions {
     }
 }
 
-/// Positional labels for the root ranges [`Vm::roots`] builds: the
+/// Positional labels for the root ranges [`roots_of`] builds: the
 /// globals region first, the live stack second. Precise root words
 /// (live temps) are labeled `reg` by the snapshot walk itself.
 const ROOT_LABELS: &[&str] = &["globals", "stack"];
@@ -228,36 +245,472 @@ impl From<MemFault> for VmError {
 /// checking mode catching bad pointer arithmetic, and `UseAfterFree`
 /// observes premature collection caused by disguised pointers.
 pub fn run(prog: &ProgramIr, opts: &VmOptions) -> Result<ExecOutcome, VmError> {
-    Vm::new(prog, opts)?.run()
+    let code = decode(prog);
+    Vm::new(prog, &code, opts)?.run()
 }
 
-struct Frame {
-    func: usize,
+/// No slot: the destination of a call whose result is unused and of
+/// `main`'s frame, and the value of a `return;`.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A jump or branch target: the pc of the block's first op, and the
+/// block's index for its execution count.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    pc: u32,
     block: u32,
-    ip: u32,
-    temps: Vec<i64>,
-    dst_in_caller: Option<Temp>,
+}
+
+/// One decoded instruction. Every operand is a slot of the current
+/// frame: temps first, then the function's immediates, which every call
+/// seeds from [`FuncCode::init`] — so an operand read is one indexed
+/// load, with no temp/constant test.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Const {
+        dst: u32,
+        value: i64,
+    },
+    Mov {
+        dst: u32,
+        src: u32,
+    },
+    Bin {
+        op: BinIr,
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    Load {
+        dst: u32,
+        addr: u32,
+        width: u8,
+        signed: bool,
+    },
+    Store {
+        addr: u32,
+        value: u32,
+        width: u8,
+    },
+    FrameAddr {
+        dst: u32,
+        offset: u32,
+    },
+    MemCopy {
+        dst: u32,
+        src: u32,
+        len: u64,
+    },
+    CheckSame {
+        dst: u32,
+        value: u32,
+        base: u32,
+    },
+    /// `value` is [`NO_SLOT`] for `return;`.
+    Ret {
+        value: u32,
+    },
+    Jump {
+        to: Target,
+    },
+    Branch {
+        cond: u32,
+        t: Target,
+        f: Target,
+    },
+    /// Index into [`FuncCode::calls`].
+    Call {
+        call: u32,
+    },
+    /// A structural defect found by the decoder, reported as
+    /// [`VmError::Malformed`] when (and only when) it executes. Index
+    /// into [`FuncCode::malformed`].
+    Malformed {
+        msg: u32,
+    },
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Callee {
+    Func(u32),
+    Builtin(Builtin),
+    /// Through the function-pointer value in this slot.
+    Indirect(u32),
+}
+
+/// One call site. `args` and `roots` are `start..end` ranges of
+/// [`FuncCode::pool`]; `roots` are the temps live across the call (those
+/// [`crate::liveness::gc_root_maps`] reports), the frame's GC roots
+/// while it is suspended here.
+#[derive(Debug, Clone, Copy)]
+struct CallSite {
+    callee: Callee,
+    dst: u32,
+    args: (u32, u32),
+    roots: (u32, u32),
+    site: Option<u32>,
+}
+
+/// A function decoded once per run: blocks concatenated into one op
+/// array, targets resolved to pcs.
+#[derive(Debug)]
+struct FuncCode {
+    ops: Vec<Op>,
+    calls: Vec<CallSite>,
+    /// Argument and root slots of every call site.
+    pool: Vec<u32>,
+    /// Register image of a fresh frame: zeroed temps, then immediates.
+    init: Vec<i64>,
+    /// Parameter slots, in order.
+    params: Vec<u32>,
+    frame_size: u64,
+    /// Offset of this function's block 0 in [`Vm::counts`].
+    counts: usize,
+    blocks: usize,
+    malformed: Vec<String>,
+}
+
+impl FuncCode {
+    fn roots(&self, call: u32) -> &[u32] {
+        let (s, e) = self.calls[call as usize].roots;
+        &self.pool[s as usize..e as usize]
+    }
+
+    fn args(&self, call: u32) -> &[u32] {
+        let (s, e) = self.calls[call as usize].args;
+        &self.pool[s as usize..e as usize]
+    }
+}
+
+/// The parameter count of `b`, from its C type.
+fn builtin_arity(b: Builtin) -> usize {
+    static ARITY: OnceLock<Vec<usize>> = OnceLock::new();
+    ARITY.get_or_init(|| {
+        Builtin::ALL
+            .iter()
+            .map(|&(_, b)| b.func_type().params.len())
+            .collect()
+    })[b as usize]
+}
+
+/// Decodes every function of `prog`, once per run. A function without
+/// blocks still gets one count slot, so an entry count never lands in
+/// the next function's.
+fn decode(prog: &ProgramIr) -> Vec<FuncCode> {
+    let mut counts = 0;
+    prog.funcs
+        .iter()
+        .map(|f| {
+            let code = decode_func(prog, f, counts);
+            counts += f.blocks.len().max(1);
+            code
+        })
+        .collect()
+}
+
+/// Decodes `f`, one function of `prog`; `counts` is the offset of its
+/// block counts.
+fn decode_func(prog: &ProgramIr, f: &FuncIr, counts: usize) -> FuncCode {
+    // Every block ends in a terminator or in a `Malformed` op that
+    // reports falling off it, so each block has a distinct start pc and
+    // execution never runs past the end of `ops`.
+    let mut starts = Vec::with_capacity(f.blocks.len());
+    let mut pc = 0u32;
+    for b in &f.blocks {
+        starts.push(pc);
+        pc += b.instrs.len() as u32 + u32::from(falls_off(b));
+    }
+
+    // `compile` never emits a temp at or past `temp_count` or a jump to
+    // a missing block, but `run` takes any `ProgramIr`. Slots cover
+    // every temp the function names (a second pass, once the first has
+    // seen them all), and liveness then runs on a copy whose bad jumps
+    // return instead: code past them never executes, so the roots
+    // before them are exact.
+    let temps = f
+        .param_temps
+        .iter()
+        .fold(f.temp_count, |n, t| n.max(t.0 + 1));
+    let (mut code, seen) = emit(prog, f, &starts, counts, temps);
+    if seen > temps {
+        code = emit(prog, f, &starts, counts, seen).0;
+    }
+    let bad_target = |ins: &Instr| match ins {
+        Instr::Jump { target } => target.0 as usize >= f.blocks.len(),
+        Instr::Branch {
+            if_true, if_false, ..
+        } => if_true.0.max(if_false.0) as usize >= f.blocks.len(),
+        _ => false,
+    };
+    // A bad target always decodes to a `Malformed` op.
+    let sane = seen == f.temp_count
+        && (code.malformed.is_empty() || !f.blocks.iter().flat_map(|b| &b.instrs).any(bad_target));
+    let mut record = |bi: usize, ii: usize, roots: &mut dyn Iterator<Item = Temp>| {
+        if let Op::Call { call } = code.ops[starts[bi] as usize + ii] {
+            let start = code.pool.len() as u32;
+            code.pool.extend(roots.map(|t| t.0));
+            code.calls[call as usize].roots = (start, code.pool.len() as u32);
+        }
+    };
+    if sane {
+        for_each_gc_point(f, &mut record);
+    } else {
+        let mut g = f.clone();
+        g.temp_count = seen;
+        for ins in g.blocks.iter_mut().flat_map(|b| &mut b.instrs) {
+            if bad_target(ins) {
+                *ins = Instr::Ret { value: None };
+            }
+        }
+        for_each_gc_point(&g, &mut record);
+    }
+    code
+}
+
+fn falls_off(b: &Block) -> bool {
+    !b.instrs.last().is_some_and(Instr::is_terminator)
+}
+
+/// Emits `f`'s ops with `temps` temp slots before the immediates;
+/// returns them with the number of temp slots the function needs. Call
+/// sites get their roots afterwards.
+fn emit(
+    prog: &ProgramIr,
+    f: &FuncIr,
+    starts: &[u32],
+    counts: usize,
+    temps: u32,
+) -> (FuncCode, u32) {
+    let mut code = FuncCode {
+        ops: Vec::with_capacity(f.instr_count() + f.blocks.len()),
+        calls: Vec::new(),
+        pool: Vec::new(),
+        init: vec![0; temps as usize],
+        params: f.param_temps.iter().map(|t| t.0).collect(),
+        frame_size: u64::from(f.frame_size),
+        counts,
+        blocks: f.blocks.len(),
+        malformed: Vec::new(),
+    };
+    let mut seen = temps;
+    let mut consts: HashMap<i64, u32> = HashMap::new();
+    let mut slot = |o: Operand, init: &mut Vec<i64>| match o {
+        Operand::Temp(t) => {
+            seen = seen.max(t.0 + 1);
+            t.0
+        }
+        Operand::Const(c) => *consts.entry(c).or_insert_with(|| {
+            init.push(c);
+            init.len() as u32 - 1
+        }),
+    };
+    let malformed = |code: &mut FuncCode, msg: String| {
+        code.malformed.push(msg);
+        Op::Malformed {
+            msg: code.malformed.len() as u32 - 1,
+        }
+    };
+    if f.blocks.is_empty() {
+        let op = malformed(&mut code, format!("'{}' has no blocks", f.name));
+        code.ops.push(op);
+    }
+    let target = |t: BlockId| {
+        starts
+            .get(t.0 as usize)
+            .map(|&pc| Target { pc, block: t.0 })
+    };
+    let bad_block = |t: BlockId| format!("jump to missing block {t} in '{}'", f.name);
+    for (bi, b) in f.blocks.iter().enumerate() {
+        for ins in &b.instrs {
+            let op = match *ins {
+                Instr::Const { dst, value } => Op::Const {
+                    dst: slot(dst.into(), &mut code.init),
+                    value,
+                },
+                Instr::Mov { dst, src }
+                | Instr::KeepLive {
+                    dst, value: src, ..
+                } => {
+                    // A base only extends a live range, but liveness
+                    // still needs a slot count that covers it.
+                    if let Instr::KeepLive {
+                        base: Some(b @ Operand::Temp(_)),
+                        ..
+                    } = *ins
+                    {
+                        slot(b, &mut code.init);
+                    }
+                    match src {
+                        Operand::Const(value) => Op::Const {
+                            dst: slot(dst.into(), &mut code.init),
+                            value,
+                        },
+                        Operand::Temp(_) => Op::Mov {
+                            dst: slot(dst.into(), &mut code.init),
+                            src: slot(src, &mut code.init),
+                        },
+                    }
+                }
+                Instr::Bin { dst, op, a, b } => Op::Bin {
+                    op,
+                    dst: slot(dst.into(), &mut code.init),
+                    a: slot(a, &mut code.init),
+                    b: slot(b, &mut code.init),
+                },
+                Instr::Load {
+                    dst,
+                    addr,
+                    width,
+                    signed,
+                } => Op::Load {
+                    dst: slot(dst.into(), &mut code.init),
+                    addr: slot(addr, &mut code.init),
+                    width,
+                    signed,
+                },
+                Instr::Store { addr, value, width } => Op::Store {
+                    addr: slot(addr, &mut code.init),
+                    value: slot(value, &mut code.init),
+                    width,
+                },
+                Instr::FrameAddr { dst, offset } => Op::FrameAddr {
+                    dst: slot(dst.into(), &mut code.init),
+                    offset,
+                },
+                Instr::MemCopy {
+                    dst_addr,
+                    src_addr,
+                    len,
+                } => Op::MemCopy {
+                    dst: slot(dst_addr, &mut code.init),
+                    src: slot(src_addr, &mut code.init),
+                    len,
+                },
+                Instr::CheckSame { dst, value, base } => Op::CheckSame {
+                    dst: slot(dst.into(), &mut code.init),
+                    value: slot(value, &mut code.init),
+                    base: slot(base, &mut code.init),
+                },
+                Instr::Ret { value: Some(v) } => Op::Ret {
+                    value: slot(v, &mut code.init),
+                },
+                Instr::Ret { value: None } => Op::Ret { value: NO_SLOT },
+                Instr::Jump { target: t } => match target(t) {
+                    Some(to) => Op::Jump { to },
+                    None => malformed(&mut code, bad_block(t)),
+                },
+                Instr::Branch {
+                    cond,
+                    if_true,
+                    if_false,
+                } => match (target(if_true), target(if_false)) {
+                    (Some(t), Some(e)) => Op::Branch {
+                        cond: slot(cond, &mut code.init),
+                        t,
+                        f: e,
+                    },
+                    (None, _) => malformed(&mut code, bad_block(if_true)),
+                    (_, None) => malformed(&mut code, bad_block(if_false)),
+                },
+                Instr::Call {
+                    dst,
+                    target,
+                    ref args,
+                    site,
+                } => 'call: {
+                    let callee = match target {
+                        CallTarget::Func(i) if i < prog.funcs.len() => Callee::Func(i as u32),
+                        CallTarget::Func(i) => {
+                            let msg = format!("call to missing function #{i} in '{}'", f.name);
+                            break 'call malformed(&mut code, msg);
+                        }
+                        CallTarget::Builtin(b) => Callee::Builtin(b),
+                        CallTarget::Indirect(o) => Callee::Indirect(slot(o, &mut code.init)),
+                    };
+                    let mut args = &args[..];
+                    if let Callee::Builtin(b) = callee {
+                        let arity = builtin_arity(b);
+                        if args.len() < arity {
+                            let msg =
+                                format!("call to {b:?} with {} args, expected {arity}", args.len());
+                            break 'call malformed(&mut code, msg);
+                        }
+                        // Surplus builtin arguments are evaluated by
+                        // nothing and read by nothing.
+                        args = &args[..arity];
+                    }
+                    let start = code.pool.len() as u32;
+                    for &a in args {
+                        let s = slot(a, &mut code.init);
+                        code.pool.push(s);
+                    }
+                    code.calls.push(CallSite {
+                        callee,
+                        dst: dst.map_or(NO_SLOT, |d| slot(d.into(), &mut code.init)),
+                        args: (start, code.pool.len() as u32),
+                        roots: (0, 0),
+                        site,
+                    });
+                    Op::Call {
+                        call: code.calls.len() as u32 - 1,
+                    }
+                }
+            };
+            code.ops.push(op);
+        }
+        if falls_off(b) {
+            let msg = format!("fell off block bb{bi} in '{}'", f.name);
+            let op = malformed(&mut code, msg);
+            code.ops.push(op);
+        }
+    }
+    (code, seen)
+}
+
+/// A frame on the register stack: the function, the pc it is at (for a
+/// suspended frame, its call), the base of its slots in [`Vm::regs`],
+/// and the caller's slot that receives its result.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    func: u32,
+    pc: u32,
+    base: u32,
+    dst: u32,
 }
 
 struct Vm<'a> {
     prog: &'a ProgramIr,
     opts: &'a VmOptions,
+    code: &'a [FuncCode],
     mem: Memory,
     heap: GcHeap,
+    /// The register stack: every frame's slots, innermost last.
+    regs: Vec<i64>,
+    /// Every active frame, innermost (the executing one) last.
     frames: Vec<Frame>,
     sp: u64,
+    /// Heap bytes under the use-after-free trap: the heap's size, or 0
+    /// when `trap_uaf` is off, so one unsigned compare decides it.
+    uaf_span: u64,
     input_pos: usize,
     output: Vec<u8>,
-    profile: Profile,
+    /// Block execution counts of every function, one flat array.
+    counts: Vec<u64>,
+    /// Calls per builtin, indexed by the `Builtin` discriminant.
+    builtin_calls: [u64; Builtin::ALL.len()],
+    builtin_byte_work: u64,
     steps: u64,
-    gc_maps: Vec<HashMap<(u32, u32), Vec<Temp>>>,
     exit: Option<i64>,
     /// Whether the `begin` heap-graph snapshot has been recorded.
     begin_snapped: bool,
 }
 
 impl<'a> Vm<'a> {
-    fn new(prog: &'a ProgramIr, opts: &'a VmOptions) -> Result<Self, VmError> {
+    fn new(
+        prog: &'a ProgramIr,
+        code: &'a [FuncCode],
+        opts: &'a VmOptions,
+    ) -> Result<Self, VmError> {
         let mut mem = Memory::new(
             (prog.globals_image.len() + 4096).max(1 << 16),
             opts.stack_bytes,
@@ -270,24 +723,27 @@ impl<'a> Vm<'a> {
         heap.set_trace(opts.trace.clone());
         heap.set_prof(opts.prof.clone());
         heap.set_snap_sites(opts.snap.is_enabled() || opts.snapshot_oracle);
-        let gc_maps = prog.funcs.iter().map(gc_root_maps).collect();
-        let profile = Profile {
-            block_counts: prog.funcs.iter().map(|f| vec![0; f.blocks.len()]).collect(),
-            ..Profile::default()
-        };
         let sp = mem.stack_top();
         Ok(Vm {
             prog,
             opts,
+            code,
+            uaf_span: if opts.trap_uaf {
+                mem.heap_size() as u64
+            } else {
+                0
+            },
             mem,
             heap,
-            frames: Vec::new(),
+            regs: Vec::with_capacity(1 << 12),
+            frames: Vec::with_capacity(1 << 8),
             sp,
             input_pos: 0,
             output: Vec::new(),
-            profile,
+            counts: vec![0; code.iter().map(|c| c.blocks.max(1)).sum()],
+            builtin_calls: [0; Builtin::ALL.len()],
+            builtin_byte_work: 0,
             steps: 0,
-            gc_maps,
             exit: None,
             begin_snapped: false,
         })
@@ -296,74 +752,51 @@ impl<'a> Vm<'a> {
     fn cur_func_name(&self) -> String {
         self.frames
             .last()
-            .map(|f| self.prog.funcs[f.func].name.clone())
+            .map(|f| self.prog.funcs[f.func as usize].name.clone())
             .unwrap_or_else(|| "<top>".into())
     }
 
-    fn push_frame(&mut self, func: usize, args: &[i64], dst: Option<Temp>) -> Result<(), VmError> {
-        let f = &self.prog.funcs[func];
-        if args.len() != f.param_temps.len() {
+    /// Enters `func` with the values of the caller's `args` slots (from
+    /// `caller_base`) as its parameters.
+    fn push_frame(
+        &mut self,
+        func: usize,
+        caller_base: usize,
+        args: &[u32],
+        dst: u32,
+    ) -> Result<(), VmError> {
+        let f = &self.code[func];
+        if args.len() != f.params.len() {
             return Err(VmError::Malformed(format!(
                 "call to '{}' with {} args, expected {}",
-                f.name,
+                self.prog.funcs[func].name,
                 args.len(),
-                f.param_temps.len()
+                f.params.len()
             )));
         }
-        let frame_size = f.frame_size as u64;
-        if self.sp < gcheap::STACK_BASE + frame_size {
+        if self.sp < gcheap::STACK_BASE + f.frame_size {
             return Err(VmError::StackOverflow);
         }
-        self.sp -= frame_size;
+        self.sp -= f.frame_size;
         // Zero the frame so stale words cannot retain garbage.
-        self.mem.fill(self.sp, 0, frame_size as usize)?;
-        let mut temps = vec![0i64; f.temp_count as usize];
-        for (pt, v) in f.param_temps.iter().zip(args) {
-            temps[pt.0 as usize] = *v;
+        self.mem.fill(self.sp, 0, f.frame_size as usize)?;
+        let base = self.regs.len();
+        self.regs.extend_from_slice(&f.init);
+        for (&p, &a) in f.params.iter().zip(args) {
+            self.regs[base + p as usize] = self.regs[caller_base + a as usize];
         }
-        self.profile.block_counts[func][0] += 1;
+        self.counts[f.counts] += 1;
         self.frames.push(Frame {
-            func,
-            block: 0,
-            ip: 0,
-            temps,
-            dst_in_caller: dst,
+            func: func as u32,
+            pc: 0,
+            base: base as u32,
+            dst,
         });
         Ok(())
     }
 
-    fn pop_frame(&mut self, ret: Option<i64>) -> Result<(), VmError> {
-        let frame = self.frames.pop().expect("pop with no frame");
-        let f = &self.prog.funcs[frame.func];
-        self.sp += f.frame_size as u64;
-        if let Some(caller) = self.frames.last_mut() {
-            if let Some(dst) = frame.dst_in_caller {
-                // A caller-visible destination with no returned value would
-                // silently become 0 — refuse, so miscompilations that drop
-                // a return path surface instead of masking divergence.
-                let Some(v) = ret else {
-                    return Err(VmError::MissingReturn {
-                        func: f.name.clone(),
-                    });
-                };
-                caller.temps[dst.0 as usize] = v;
-            }
-            caller.ip += 1; // resume after the call
-        } else {
-            self.exit = Some(ret.unwrap_or(0));
-        }
-        Ok(())
-    }
-
     fn run(mut self) -> Result<ExecOutcome, VmError> {
-        self.push_frame(self.prog.main, &[], None)?;
-        while self.exit.is_none() {
-            self.step()?;
-            self.steps += 1;
-            if self.steps > self.opts.max_steps {
-                return Err(VmError::StepLimit);
-            }
-        }
+        self.execute()?;
         // Heap-graph snapshots: `begin` was recorded at the first
         // allocation (or now, for a program that never allocated), `end`
         // before the final sweep so floating garbage is still visible.
@@ -389,10 +822,23 @@ impl<'a> Vm<'a> {
         // fragmentation, blacklist pressure. The walk only happens when
         // profiling is enabled.
         self.opts.prof.record_census(|| self.heap.census());
+        let profile = Profile {
+            block_counts: self
+                .code
+                .iter()
+                .map(|c| self.counts[c.counts..c.counts + c.blocks].to_vec())
+                .collect(),
+            builtin_calls: Builtin::ALL
+                .iter()
+                .map(|&(_, b)| (b, self.builtin_calls[b as usize]))
+                .filter(|&(_, n)| n > 0)
+                .collect(),
+            builtin_byte_work: self.builtin_byte_work,
+        };
         let outcome = ExecOutcome {
             output: self.output,
             exit_code: self.exit.unwrap_or(0),
-            profile: self.profile,
+            profile,
             heap: self.heap.stats(),
             steps: self.steps,
         };
@@ -416,187 +862,215 @@ impl<'a> Vm<'a> {
         Ok(outcome)
     }
 
-    fn operand(&self, o: Operand) -> i64 {
-        match o {
-            Operand::Const(c) => c,
-            Operand::Temp(t) => self.frames.last().expect("active frame").temps[t.0 as usize],
+    /// The interpreter: runs `main` until it returns or `exit` is
+    /// called. The executing frame's function, pc and slot base live in
+    /// locals; [`Frame::pc`] is written back only at calls, which is
+    /// where the root walk and the site key read it.
+    fn execute(&mut self) -> Result<(), VmError> {
+        let code = self.code;
+        let main = self.prog.main;
+        if main >= code.len() {
+            return Err(VmError::Malformed(format!("missing main function #{main}")));
         }
+        self.push_frame(main, 0, &[], NO_SLOT)?;
+        let mut f = &code[main];
+        let mut ops = &f.ops[..];
+        let mut pc = 0usize;
+        let mut base = 0usize;
+        let max_steps = self.opts.max_steps;
+        let mut steps = 0u64;
+        'run: loop {
+            match ops[pc] {
+                Op::Const { dst, value } => {
+                    self.regs[base + dst as usize] = value;
+                    pc += 1;
+                }
+                Op::Mov { dst, src } => {
+                    self.regs[base + dst as usize] = self.regs[base + src as usize];
+                    pc += 1;
+                }
+                Op::Bin { op, dst, a, b } => {
+                    let (va, vb) = (self.regs[base + a as usize], self.regs[base + b as usize]);
+                    self.regs[base + dst as usize] = op.eval(va, vb);
+                    pc += 1;
+                }
+                Op::Load {
+                    dst,
+                    addr,
+                    width,
+                    signed,
+                } => {
+                    let a = self.regs[base + addr as usize] as u64;
+                    self.check_heap_access(a)?;
+                    let raw = self.mem.read(a, width as u32)?;
+                    self.regs[base + dst as usize] = extend(raw, width, signed);
+                    pc += 1;
+                }
+                Op::Store { addr, value, width } => {
+                    let a = self.regs[base + addr as usize] as u64;
+                    self.check_heap_access(a)?;
+                    let v = self.regs[base + value as usize] as u64;
+                    if self.opts.check_base_stores && width == 8 {
+                        self.check_base_store(a, v)?;
+                    }
+                    self.mem.write(a, width as u32, v)?;
+                    if self.heap.barrier_active() {
+                        if width == 8 {
+                            self.heap.write_barrier(a, v);
+                        } else {
+                            // A narrow store can still turn the containing
+                            // word into something the conservative scan reads
+                            // as a pointer — re-scan the touched bytes.
+                            self.heap.write_barrier_range(&self.mem, a, width as u64);
+                        }
+                    }
+                    pc += 1;
+                }
+                Op::FrameAddr { dst, offset } => {
+                    self.regs[base + dst as usize] = (self.sp + offset as u64) as i64;
+                    pc += 1;
+                }
+                Op::MemCopy { dst, src, len } => {
+                    let d = self.regs[base + dst as usize] as u64;
+                    let s = self.regs[base + src as usize] as u64;
+                    self.check_heap_access(d)?;
+                    self.check_heap_access(s)?;
+                    self.mem.copy(d, s, len as usize)?;
+                    if self.heap.barrier_active() {
+                        self.heap.write_barrier_range(&self.mem, d, len);
+                    }
+                    pc += 1;
+                }
+                Op::CheckSame {
+                    dst,
+                    value,
+                    base: b,
+                } => {
+                    let v = self.regs[base + value as usize] as u64;
+                    let b = self.regs[base + b as usize] as u64;
+                    self.exec_same_obj_check(v, b)?;
+                    self.regs[base + dst as usize] = v as i64;
+                    pc += 1;
+                }
+                Op::Jump { to } => {
+                    self.counts[f.counts + to.block as usize] += 1;
+                    pc = to.pc as usize;
+                }
+                Op::Branch { cond, t, f: e } => {
+                    let to = if self.regs[base + cond as usize] != 0 {
+                        t
+                    } else {
+                        e
+                    };
+                    self.counts[f.counts + to.block as usize] += 1;
+                    pc = to.pc as usize;
+                }
+                Op::Call { call } => 'call: {
+                    let cs = f.calls[call as usize];
+                    self.frames.last_mut().expect("active frame").pc = pc as u32;
+                    let callee = match cs.callee {
+                        Callee::Func(g) => g as usize,
+                        Callee::Indirect(s) => {
+                            let v = self.regs[base + s as usize];
+                            let idx = v.wrapping_sub(FUNC_PTR_BASE);
+                            if idx < 0 || idx as usize >= code.len() {
+                                return Err(VmError::Malformed(format!(
+                                    "indirect call through bad function pointer {v:#x}"
+                                )));
+                            }
+                            idx as usize
+                        }
+                        Callee::Builtin(b) => {
+                            // No builtin takes more than three arguments,
+                            // and the decoder trims surplus ones.
+                            let mut argv = [0i64; 3];
+                            let args = f.args(call);
+                            for (v, &a) in argv.iter_mut().zip(args) {
+                                *v = self.regs[base + a as usize];
+                            }
+                            let ret = self.builtin(b, &argv[..args.len()], cs.site)?;
+                            if self.exit.is_some() {
+                                steps += 1;
+                                break 'run;
+                            }
+                            if cs.dst != NO_SLOT {
+                                self.regs[base + cs.dst as usize] = ret;
+                            }
+                            pc += 1;
+                            break 'call;
+                        }
+                    };
+                    self.push_frame(callee, base, f.args(call), cs.dst)?;
+                    f = &code[callee];
+                    ops = &f.ops;
+                    pc = 0;
+                    base = self.regs.len() - f.init.len();
+                }
+                Op::Ret { value } => {
+                    let v = (value != NO_SLOT).then(|| self.regs[base + value as usize]);
+                    if self.pop_frame(v)? {
+                        steps += 1;
+                        break 'run;
+                    }
+                    let caller = *self.frames.last().expect("caller frame");
+                    f = &code[caller.func as usize];
+                    ops = &f.ops;
+                    pc = caller.pc as usize + 1;
+                    base = caller.base as usize;
+                }
+                Op::Malformed { msg } => {
+                    return Err(VmError::Malformed(f.malformed[msg as usize].clone()));
+                }
+            }
+            steps += 1;
+            if steps > max_steps {
+                return Err(VmError::StepLimit);
+            }
+        }
+        // The step that ended the run counts against the budget too.
+        if steps > max_steps {
+            return Err(VmError::StepLimit);
+        }
+        self.steps = steps;
+        Ok(())
     }
 
-    fn set_temp(&mut self, t: Temp, v: i64) {
-        self.frames.last_mut().expect("active frame").temps[t.0 as usize] = v;
+    /// Leaves the executing frame, handing `ret` to the caller's
+    /// destination slot. Returns whether that was `main`'s frame.
+    fn pop_frame(&mut self, ret: Option<i64>) -> Result<bool, VmError> {
+        let frame = self.frames.pop().expect("pop with no frame");
+        self.sp += self.code[frame.func as usize].frame_size;
+        self.regs.truncate(frame.base as usize);
+        let Some(caller) = self.frames.last() else {
+            self.exit = Some(ret.unwrap_or(0));
+            return Ok(true);
+        };
+        if frame.dst != NO_SLOT {
+            // A caller-visible destination with no returned value would
+            // silently become 0 — refuse, so miscompilations that drop
+            // a return path surface instead of masking divergence.
+            let Some(v) = ret else {
+                return Err(VmError::MissingReturn {
+                    func: self.prog.funcs[frame.func as usize].name.clone(),
+                });
+            };
+            self.regs[caller.base as usize + frame.dst as usize] = v;
+        }
+        Ok(false)
     }
 
-    fn goto(&mut self, target: BlockId) {
-        let frame = self.frames.last_mut().expect("active frame");
-        frame.block = target.0;
-        frame.ip = 0;
-        self.profile.block_counts[frame.func][target.0 as usize] += 1;
-    }
-
+    /// The use-after-free trap. One compare against [`Vm::uaf_span`]
+    /// passes every non-heap address (and every address when the trap
+    /// is off); only heap addresses ask the page map.
+    #[inline]
     fn check_heap_access(&self, addr: u64) -> Result<(), VmError> {
-        if self.opts.trap_uaf && self.mem.in_heap(addr) && !self.heap.is_allocated(addr) {
+        if addr.wrapping_sub(HEAP_BASE) < self.uaf_span && !self.heap.is_allocated(addr) {
             return Err(VmError::UseAfterFree {
                 func: self.cur_func_name(),
                 addr,
             });
         }
         Ok(())
-    }
-
-    fn frame_addr(&self, offset: u32) -> u64 {
-        self.sp + offset as u64
-    }
-
-    fn step(&mut self) -> Result<(), VmError> {
-        let frame = self.frames.last().expect("active frame");
-        let func = frame.func;
-        let (block, ip) = (frame.block, frame.ip);
-        let instrs = &self.prog.funcs[func].blocks[block as usize].instrs;
-        let Some(instr) = instrs.get(ip as usize) else {
-            return Err(VmError::Malformed(format!(
-                "fell off block bb{block} in '{}'",
-                self.prog.funcs[func].name
-            )));
-        };
-        // Clone small instructions to end the borrow (Call args are the
-        // only allocation, and calls are comparatively rare).
-        let instr = instr.clone();
-        match instr {
-            Instr::Const { dst, value } => {
-                self.set_temp(dst, value);
-                self.advance();
-            }
-            Instr::Mov { dst, src } => {
-                let v = self.operand(src);
-                self.set_temp(dst, v);
-                self.advance();
-            }
-            Instr::Bin { dst, op, a, b } => {
-                let va = self.operand(a);
-                let vb = self.operand(b);
-                self.set_temp(dst, op.eval(va, vb));
-                self.advance();
-            }
-            Instr::Load {
-                dst,
-                addr,
-                width,
-                signed,
-            } => {
-                let a = self.operand(addr) as u64;
-                self.check_heap_access(a)?;
-                let raw = self.mem.read(a, width as u32)?;
-                let v = extend(raw, width, signed);
-                self.set_temp(dst, v);
-                self.advance();
-            }
-            Instr::Store { addr, value, width } => {
-                let a = self.operand(addr) as u64;
-                self.check_heap_access(a)?;
-                let v = self.operand(value) as u64;
-                if self.opts.check_base_stores && width == 8 {
-                    self.check_base_store(a, v)?;
-                }
-                self.mem.write(a, width as u32, v)?;
-                if self.heap.barrier_active() {
-                    if width == 8 {
-                        self.heap.write_barrier(a, v);
-                    } else {
-                        // A narrow store can still turn the containing
-                        // word into something the conservative scan reads
-                        // as a pointer — re-scan the touched bytes.
-                        self.heap.write_barrier_range(&self.mem, a, width as u64);
-                    }
-                }
-                self.advance();
-            }
-            Instr::FrameAddr { dst, offset } => {
-                let a = self.frame_addr(offset) as i64;
-                self.set_temp(dst, a);
-                self.advance();
-            }
-            Instr::MemCopy {
-                dst_addr,
-                src_addr,
-                len,
-            } => {
-                let d = self.operand(dst_addr) as u64;
-                let s = self.operand(src_addr) as u64;
-                self.check_heap_access(d)?;
-                self.check_heap_access(s)?;
-                self.mem.copy(d, s, len as usize)?;
-                if self.heap.barrier_active() {
-                    self.heap.write_barrier_range(&self.mem, d, len);
-                }
-                self.advance();
-            }
-            Instr::KeepLive { dst, value, .. } => {
-                // Semantically the identity; its force is entirely static.
-                let v = self.operand(value);
-                self.set_temp(dst, v);
-                self.advance();
-            }
-            Instr::CheckSame { dst, value, base } => {
-                let v = self.operand(value) as u64;
-                let b = self.operand(base) as u64;
-                self.exec_same_obj_check(v, b)?;
-                self.set_temp(dst, v as i64);
-                self.advance();
-            }
-            Instr::Ret { value } => {
-                let v = value.map(|o| self.operand(o));
-                self.pop_frame(v)?;
-            }
-            Instr::Jump { target } => self.goto(target),
-            Instr::Branch {
-                cond,
-                if_true,
-                if_false,
-            } => {
-                let c = self.operand(cond);
-                self.goto(if c != 0 { if_true } else { if_false });
-            }
-            Instr::Call {
-                dst,
-                target,
-                args,
-                site,
-            } => {
-                let argv: Vec<i64> = args.iter().map(|a| self.operand(*a)).collect();
-                match target {
-                    CallTarget::Func(idx) => {
-                        self.push_frame(idx, &argv, dst)?;
-                        // Note: the caller's ip stays at the call until return.
-                    }
-                    CallTarget::Builtin(b) => {
-                        let ret = self.builtin(b, &argv, site)?;
-                        if self.exit.is_some() {
-                            return Ok(());
-                        }
-                        if let Some(d) = dst {
-                            self.set_temp(d, ret);
-                        }
-                        self.advance();
-                    }
-                    CallTarget::Indirect(o) => {
-                        let v = self.operand(o);
-                        let idx = v - FUNC_PTR_BASE;
-                        if idx < 0 || idx as usize >= self.prog.funcs.len() {
-                            return Err(VmError::Malformed(format!(
-                                "indirect call through bad function pointer {v:#x}"
-                            )));
-                        }
-                        self.push_frame(idx as usize, &argv, dst)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn advance(&mut self) {
-        self.frames.last_mut().expect("active frame").ip += 1;
     }
 
     /// The Extensions-section assertion: a pointer-sized store into the
@@ -638,27 +1112,18 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// Collects the current root set: globals, live stack, and live temps
-    /// of every frame (each frame is suspended at a call instruction).
+    /// The address ranges scanned conservatively: the globals region
+    /// and the live stack.
+    fn root_ranges(&self) -> [(u64, u64); 2] {
+        [
+            (GLOBAL_BASE, GLOBAL_BASE + self.prog.globals_size + 4096),
+            (self.sp, self.mem.stack_top()),
+        ]
+    }
+
+    /// The current root set; see [`roots_of`].
     fn roots(&self) -> RootSet {
-        let mut roots = RootSet::new();
-        roots.add_range(GLOBAL_BASE, GLOBAL_BASE + self.prog.globals_size + 4096);
-        roots.add_range(self.sp, self.mem.stack_top());
-        for frame in &self.frames {
-            let map = &self.gc_maps[frame.func];
-            if let Some(live) = map.get(&(frame.block, frame.ip)) {
-                for t in live {
-                    roots.add_word(frame.temps[t.0 as usize] as u64);
-                }
-            } else {
-                // Not at a call (shouldn't happen for suspended frames);
-                // be conservative and take every temp.
-                for &v in &frame.temps {
-                    roots.add_word(v as u64);
-                }
-            }
-        }
-        roots
+        roots_of(self.code, &self.frames, &self.regs, self.root_ranges())
     }
 
     /// The allocation-site key for `site` under the current shadow call
@@ -667,12 +1132,14 @@ impl<'a> Vm<'a> {
     fn site_key(&self, site: Option<u32>) -> String {
         let mut key = String::new();
         for frame in &self.frames {
-            key.push_str(&self.prog.funcs[frame.func].name);
+            key.push_str(&self.prog.funcs[frame.func as usize].name);
             key.push(';');
         }
         match site {
-            Some(i) => key.push_str(&self.prog.alloc_sites[i as usize].label()),
-            None => key.push_str("alloc@?"),
+            Some(i) if (i as usize) < self.prog.alloc_sites.len() => {
+                key.push_str(&self.prog.alloc_sites[i as usize].label())
+            }
+            _ => key.push_str("alloc@?"),
         }
         key
     }
@@ -746,13 +1213,18 @@ impl<'a> Vm<'a> {
         // its stack and labels any collection this request triggers. The
         // uninstrumented hot path pays one branch and builds no string.
         let label = self.heap.attribution_enabled().then(|| self.site_key(site));
-        let roots = self.roots();
-        match self
-            .heap
-            .alloc_with_roots_sited(&mut self.mem, size, &roots, label.as_deref())
-        {
+        // The roots are gathered only if this allocation runs collector
+        // work; most allocations run none.
+        let ranges = self.root_ranges();
+        let (code, frames, regs) = (self.code, &self.frames, &self.regs);
+        match self.heap.alloc_with_roots_sited(
+            &mut self.mem,
+            size,
+            || roots_of(code, frames, regs, ranges),
+            label.as_deref(),
+        ) {
             Ok(addr) => {
-                let prof = self.heap.prof().clone();
+                let prof = &self.opts.prof;
                 match label {
                     Some(l) => prof.record_site(size, move || l),
                     // Unreachable in practice (an enabled profile implies
@@ -767,7 +1239,7 @@ impl<'a> Vm<'a> {
     }
 
     fn builtin(&mut self, b: Builtin, args: &[i64], site: Option<u32>) -> Result<i64, VmError> {
-        *self.profile.builtin_calls.entry(b).or_insert(0) += 1;
+        self.builtin_calls[b as usize] += 1;
         match b {
             Builtin::Malloc => self.allocate(args[0], site),
             Builtin::Calloc => self.allocate(args[0].saturating_mul(args[1]), site),
@@ -791,13 +1263,13 @@ impl<'a> Vm<'a> {
             Builtin::Free => Ok(0), // the collector reclaims
             Builtin::Strlen => {
                 let s = self.mem.read_cstr(args[0] as u64)?;
-                self.profile.builtin_byte_work += s.len() as u64 + 1;
+                self.builtin_byte_work += s.len() as u64 + 1;
                 Ok(s.len() as i64)
             }
             Builtin::Strcmp => {
                 let a = self.mem.read_cstr(args[0] as u64)?;
                 let b2 = self.mem.read_cstr(args[1] as u64)?;
-                self.profile.builtin_byte_work += (a.len().min(b2.len()) + 1) as u64;
+                self.builtin_byte_work += (a.len().min(b2.len()) + 1) as u64;
                 Ok(cmp_bytes(&a, &b2))
             }
             Builtin::Strncmp => {
@@ -806,7 +1278,7 @@ impl<'a> Vm<'a> {
                 let b2 = self.mem.read_cstr(args[1] as u64)?;
                 let a = &a[..a.len().min(n)];
                 let b2 = &b2[..b2.len().min(n)];
-                self.profile.builtin_byte_work += (a.len().min(b2.len()) + 1) as u64;
+                self.builtin_byte_work += (a.len().min(b2.len()) + 1) as u64;
                 Ok(cmp_bytes(a, b2))
             }
             Builtin::Strcpy => {
@@ -821,7 +1293,7 @@ impl<'a> Vm<'a> {
                     self.heap
                         .write_barrier_range(&self.mem, dst, src.len() as u64 + 1);
                 }
-                self.profile.builtin_byte_work += src.len() as u64 + 1;
+                self.builtin_byte_work += src.len() as u64 + 1;
                 Ok(args[0])
             }
             Builtin::Memcpy => {
@@ -831,7 +1303,7 @@ impl<'a> Vm<'a> {
                     self.heap
                         .write_barrier_range(&self.mem, args[0] as u64, n as u64);
                 }
-                self.profile.builtin_byte_work += n as u64;
+                self.builtin_byte_work += n as u64;
                 Ok(args[0])
             }
             Builtin::Memset => {
@@ -840,12 +1312,12 @@ impl<'a> Vm<'a> {
                 // No barrier: an 8-byte word of one repeated byte is 0 or
                 // ≥ 0x0101…, never inside the heap range, and merely
                 // overwriting pointers needs no Dijkstra barrier.
-                self.profile.builtin_byte_work += n as u64;
+                self.builtin_byte_work += n as u64;
                 Ok(args[0])
             }
             Builtin::Memcmp => {
                 let n = args[2].max(0) as usize;
-                self.profile.builtin_byte_work += n as u64;
+                self.builtin_byte_work += n as u64;
                 let mut r = 0i64;
                 for i in 0..n {
                     let x = self.mem.read(args[0] as u64 + i as u64, 1)? as i64;
@@ -872,7 +1344,7 @@ impl<'a> Vm<'a> {
             }
             Builtin::Putstr => {
                 let s = self.mem.read_cstr(args[0] as u64)?;
-                self.profile.builtin_byte_work += s.len() as u64;
+                self.builtin_byte_work += s.len() as u64;
                 self.output.extend_from_slice(&s);
                 Ok(0)
             }
@@ -919,6 +1391,28 @@ impl<'a> Vm<'a> {
     }
 }
 
+/// The root set at an allocation: the conservatively scanned `ranges`,
+/// then, frame by frame from `main` to the executing frame, the temps
+/// live across the call each frame is at — for the executing frame, the
+/// allocation's own call.
+fn roots_of(code: &[FuncCode], frames: &[Frame], regs: &[i64], ranges: [(u64, u64); 2]) -> RootSet {
+    let mut roots = RootSet::new();
+    for (start, end) in ranges {
+        roots.add_range(start, end);
+    }
+    for frame in frames {
+        let f = &code[frame.func as usize];
+        let Op::Call { call } = f.ops[frame.pc as usize] else {
+            unreachable!("a frame is only observed while it is at a call");
+        };
+        let base = frame.base as usize;
+        for &t in f.roots(call) {
+            roots.add_word(regs[base + t as usize] as u64);
+        }
+    }
+    roots
+}
+
 fn extend(raw: u64, width: u8, signed: bool) -> i64 {
     match (width, signed) {
         (1, true) => raw as u8 as i8 as i64,
@@ -949,6 +1443,15 @@ mod tests {
         assert_eq!(extend(0xFF, 1, false), 255);
         assert_eq!(extend(0xFFFF_FFFF, 4, true), -1);
         assert_eq!(extend(0xFFFF_FFFF, 4, false), 0xFFFF_FFFF);
+    }
+
+    #[test]
+    fn builtins_index_the_call_count_array() {
+        // `Vm::builtin_calls` is indexed by discriminant and read back
+        // through `Builtin::ALL`.
+        for (i, &(_, b)) in Builtin::ALL.iter().enumerate() {
+            assert_eq!(b as usize, i, "{b:?}");
+        }
     }
 
     #[test]
@@ -1262,5 +1765,154 @@ mod vm_behavior_tests {
             }
         "#;
         assert!(matches!(run_err(src), VmError::Malformed(_)));
+    }
+}
+
+/// Hand-built IR that `compile` never produces: the decoder turns each
+/// structural defect into an op that reports it when reached.
+#[cfg(test)]
+mod malformed_ir_tests {
+    use super::*;
+
+    fn program(main_blocks: Vec<Block>) -> ProgramIr {
+        ProgramIr {
+            funcs: vec![FuncIr {
+                name: "main".into(),
+                blocks: main_blocks,
+                temp_count: 2,
+                param_temps: vec![],
+                frame_size: 0,
+                returns_value: true,
+            }],
+            main: 0,
+            globals_image: vec![],
+            globals_size: 0,
+            alloc_sites: vec![],
+        }
+    }
+
+    fn block(instrs: Vec<Instr>) -> Block {
+        Block { instrs }
+    }
+
+    fn ret(v: i64) -> Instr {
+        Instr::Ret {
+            value: Some(Operand::Const(v)),
+        }
+    }
+
+    fn malformed(prog: &ProgramIr) -> String {
+        match run(prog, &VmOptions::default()) {
+            Err(VmError::Malformed(m)) => m,
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_call_to_a_missing_function_is_malformed_when_it_runs() {
+        let call = Instr::Call {
+            dst: Some(Temp(0)),
+            target: CallTarget::Func(7),
+            args: vec![],
+            site: None,
+        };
+        let prog = program(vec![block(vec![call, ret(0)])]);
+        assert_eq!(malformed(&prog), "call to missing function #7 in 'main'");
+    }
+
+    #[test]
+    fn a_jump_to_a_missing_block_is_malformed_when_it_runs() {
+        let prog = program(vec![block(vec![Instr::Jump { target: BlockId(9) }])]);
+        assert_eq!(malformed(&prog), "jump to missing block bb9 in 'main'");
+        let branch = Instr::Branch {
+            cond: Operand::Const(0),
+            if_true: BlockId(1),
+            if_false: BlockId(5),
+        };
+        let prog = program(vec![block(vec![branch]), block(vec![ret(1)])]);
+        assert_eq!(malformed(&prog), "jump to missing block bb5 in 'main'");
+    }
+
+    #[test]
+    fn a_block_without_a_terminator_is_malformed_when_it_runs() {
+        let prog = program(vec![block(vec![Instr::Const {
+            dst: Temp(0),
+            value: 3,
+        }])]);
+        assert_eq!(malformed(&prog), "fell off block bb0 in 'main'");
+        let prog = program(vec![block(vec![])]);
+        assert_eq!(malformed(&prog), "fell off block bb0 in 'main'");
+        assert_eq!(malformed(&program(vec![])), "'main' has no blocks");
+    }
+
+    #[test]
+    fn defects_on_paths_not_taken_are_harmless() {
+        // bb0 branches to bb2 (taken) or to a missing block; bb1 has no
+        // terminator; neither defect is reached.
+        let branch = Instr::Branch {
+            cond: Operand::Const(1),
+            if_true: BlockId(2),
+            if_false: BlockId(1),
+        };
+        let prog = program(vec![
+            block(vec![branch]),
+            block(vec![Instr::Jump {
+                target: BlockId(40),
+            }]),
+            block(vec![ret(5)]),
+        ]);
+        let out = run(&prog, &VmOptions::default()).expect("runs");
+        assert_eq!(out.exit_code, 5);
+        assert_eq!(out.profile.block_counts, vec![vec![1, 0, 1]]);
+        assert_eq!(out.steps, 2);
+    }
+
+    #[test]
+    fn a_missing_main_is_malformed() {
+        let mut prog = program(vec![block(vec![ret(0)])]);
+        prog.main = 3;
+        assert_eq!(malformed(&prog), "missing main function #3");
+    }
+
+    #[test]
+    fn temps_past_temp_count_get_slots_and_roots() {
+        // t5 is beyond `temp_count` (2) and live across the allocation;
+        // t300, a keep-live base, is beyond one bitset word.
+        let prog = program(vec![block(vec![
+            Instr::Const {
+                dst: Temp(5),
+                value: 40,
+            },
+            Instr::KeepLive {
+                dst: Temp(1),
+                value: Temp(5).into(),
+                base: Some(Temp(300).into()),
+            },
+            Instr::Call {
+                dst: Some(Temp(0)),
+                target: CallTarget::Builtin(Builtin::Malloc),
+                args: vec![Operand::Const(8)],
+                site: None,
+            },
+            Instr::Call {
+                dst: None,
+                target: CallTarget::Builtin(Builtin::GcCollect),
+                args: vec![],
+                site: None,
+            },
+            Instr::Bin {
+                dst: Temp(1),
+                op: BinIr::Add,
+                a: Temp(5).into(),
+                b: Operand::Const(2),
+            },
+            Instr::Ret {
+                value: Some(Temp(1).into()),
+            },
+        ])]);
+        assert_eq!(
+            run(&prog, &VmOptions::default()).expect("runs").exit_code,
+            42
+        );
     }
 }

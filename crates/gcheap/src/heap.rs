@@ -16,6 +16,7 @@ use crate::mem::{Memory, HEAP_BASE};
 use crate::pagemap::{PageDesc, PageMap, SmallPage, PAGE_SHIFT, PAGE_SIZE};
 use gcprof::{ClassCensus, CollectCause, CollectionRecord, HeapCensus, ProfHandle};
 use gctrace::{Event, TraceHandle};
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::Instant;
@@ -326,6 +327,23 @@ impl RootSet {
     pub fn add_word(&mut self, word: u64) -> &mut Self {
         self.words.push(word);
         self
+    }
+}
+
+/// A root set gathered on first use: [`GcHeap::alloc_with_roots_sited`]
+/// runs the producer only when the allocation reaches collector work.
+struct LazyRoots<F, R> {
+    make: Option<F>,
+    made: Option<R>,
+}
+
+impl<F: FnOnce() -> R, R: Borrow<RootSet>> LazyRoots<F, R> {
+    fn get(&mut self) -> &RootSet {
+        let make = &mut self.make;
+        let made: &R = self
+            .made
+            .get_or_insert_with(|| make.take().expect("the producer runs once")());
+        made.borrow()
     }
 }
 
@@ -711,26 +729,38 @@ impl GcHeap {
         size: u64,
         roots: &RootSet,
     ) -> Result<u64, OutOfMemory> {
-        self.alloc_with_roots_sited(mem, size, roots, None)
+        self.alloc_with_roots_sited(mem, size, || roots, None)
     }
 
-    /// [`GcHeap::alloc_with_roots`] carrying the allocation-site label of
-    /// the request, so any collection this allocation triggers is
-    /// attributed to it. Callers should only build the label when
-    /// [`GcHeap::attribution_enabled`] — a `None` site is always correct.
+    /// [`GcHeap::alloc_with_roots`] with the roots supplied by a
+    /// producer, and carrying the allocation-site label of the request,
+    /// so any collection this allocation triggers is attributed to it.
+    ///
+    /// `roots` is called at most once, and only when this allocation
+    /// runs collector work that reads roots: an incremental mark step, a
+    /// cycle begin or finish, or a nursery, threshold or emergency
+    /// collection. Most allocations run none, so a mutator whose root set
+    /// is costly to gather (the VM walks every frame's live registers)
+    /// pays for it only at the allocations that collect. Callers should
+    /// only build the label when [`GcHeap::attribution_enabled`] — a
+    /// `None` site is always correct.
     ///
     /// # Errors
     ///
     /// Returns [`OutOfMemory`] if the heap is exhausted even after a
     /// collection.
-    pub fn alloc_with_roots_sited(
+    pub fn alloc_with_roots_sited<R: Borrow<RootSet>>(
         &mut self,
         mem: &mut Memory,
         size: u64,
-        roots: &RootSet,
+        roots: impl FnOnce() -> R,
         site: Option<&str>,
     ) -> Result<u64, OutOfMemory> {
-        let res = self.alloc_sited_inner(mem, size, roots, site);
+        let mut roots = LazyRoots {
+            make: Some(roots),
+            made: None,
+        };
+        let res = self.alloc_sited_inner(mem, size, &mut roots, site);
         if let (Ok(addr), Some(label)) = (&res, site) {
             if self.attribution_enabled() {
                 self.tag_site(*addr, label);
@@ -754,11 +784,11 @@ impl GcHeap {
         self.obj_sites.insert(addr, id);
     }
 
-    fn alloc_sited_inner(
+    fn alloc_sited_inner<F: FnOnce() -> R, R: Borrow<RootSet>>(
         &mut self,
         mem: &mut Memory,
         size: u64,
-        roots: &RootSet,
+        roots: &mut LazyRoots<F, R>,
         site: Option<&str>,
     ) -> Result<u64, OutOfMemory> {
         // `full_swept` means a complete mark+sweep just ran: a failed
@@ -767,7 +797,7 @@ impl GcHeap {
         let mut full_swept = false;
         if self.cycle.is_some() {
             // This safe point's share of the in-progress cycle.
-            self.mark_step(mem, roots);
+            self.mark_step(mem, roots.get());
         } else if self.sweeping.is_some() {
             // This safe point's chunk of a finished cycle's sweep.
             self.sweep_step(mem);
@@ -776,11 +806,11 @@ impl GcHeap {
                 // Young-only collections stay stop-the-world: the nursery
                 // is bounded by the allocation threshold, so they are
                 // short by construction.
-                self.collect_as(mem, roots, CollectCause::Nursery, site);
+                self.collect_as(mem, roots.get(), CollectCause::Nursery, site);
             } else if self.config.incremental {
-                self.begin_cycle(mem, roots, site);
+                self.begin_cycle(mem, roots.get(), site);
             } else {
-                self.collect_as(mem, roots, CollectCause::Threshold, site);
+                self.collect_as(mem, roots.get(), CollectCause::Threshold, site);
                 full_swept = true;
             }
         }
@@ -792,7 +822,7 @@ impl GcHeap {
                 // (the emergency needs the whole heap swept), else run a
                 // full stop-the-world collection, then retry once.
                 if self.cycle.is_some() {
-                    self.finish_cycle(mem, roots, CollectCause::Emergency);
+                    self.finish_cycle(mem, roots.get(), CollectCause::Emergency);
                     return self.alloc(mem, size);
                 }
                 if self.sweeping.is_some() {
@@ -805,7 +835,7 @@ impl GcHeap {
                         return Ok(a);
                     }
                 }
-                self.collect_as(mem, roots, CollectCause::Emergency, site);
+                self.collect_as(mem, roots.get(), CollectCause::Emergency, site);
                 self.alloc(mem, size)
             }
         }
@@ -2300,6 +2330,63 @@ mod tests {
     }
 
     #[test]
+    fn roots_are_produced_only_for_collector_work() {
+        // Under the threshold an allocation runs no collector work and
+        // never asks for roots; each allocation that does asks once.
+        let calls = std::cell::Cell::new(0);
+        let producer = || {
+            calls.set(calls.get() + 1);
+            RootSet::new()
+        };
+        let (mut mem, _) = setup();
+        let mut heap = GcHeap::new(
+            &mem,
+            HeapConfig {
+                gc_threshold: 16 * 1024,
+                ..HeapConfig::default()
+            },
+        );
+        for _ in 0..20 {
+            heap.alloc_with_roots_sited(&mut mem, 64, producer, None)
+                .unwrap();
+        }
+        assert_eq!(heap.stats().collections, 0);
+        assert_eq!(calls.get(), 0);
+        for _ in 0..1000 {
+            let before = (heap.stats().collections, calls.get());
+            heap.alloc_with_roots_sited(&mut mem, 64, producer, None)
+                .unwrap();
+            let after = (heap.stats().collections, calls.get());
+            assert_eq!(
+                after.1 - before.1,
+                after.0 - before.0,
+                "one call per collection"
+            );
+        }
+        assert!(calls.get() > 0);
+
+        // Incremental: every mark step of an in-flight cycle reads roots.
+        let calls_before = calls.get();
+        let mut heap = GcHeap::new(
+            &mem,
+            HeapConfig {
+                gc_threshold: 1,
+                ..HeapConfig::bounded_pause()
+            },
+        );
+        heap.alloc_with_roots_sited(&mut mem, 64, producer, None)
+            .unwrap();
+        assert_eq!(
+            calls.get(),
+            calls_before,
+            "the first allocation has nothing to collect"
+        );
+        heap.alloc_with_roots_sited(&mut mem, 64, producer, None)
+            .unwrap();
+        assert_eq!(calls.get(), calls_before + 1);
+    }
+
+    #[test]
     fn extra_byte_keeps_one_past_end_inside() {
         let (mut mem, mut heap) = setup();
         // 32 bytes + 1 extra → 48-byte class; one-past-end of the request
@@ -2796,7 +2883,7 @@ mod tests {
             heap.alloc(&mut mem, 64).unwrap();
         }
         assert!(heap.should_collect());
-        heap.alloc_with_roots_sited(&mut mem, 64, &RootSet::new(), Some("main;malloc@9:3"))
+        heap.alloc_with_roots_sited(&mut mem, 64, RootSet::new, Some("main;malloc@9:3"))
             .unwrap();
         // And one explicit collection.
         heap.collect(&mut mem, &RootSet::new());
@@ -3569,10 +3656,10 @@ mod dump_tests {
         let roots = RootSet::new();
         for i in 0..20 {
             let site = if i % 2 == 0 { "even@1:1" } else { "odd@2:2" };
-            heap.alloc_with_roots_sited(&mut mem, 40 + (i % 3) * 100, &roots, Some(site))
+            heap.alloc_with_roots_sited(&mut mem, 40 + (i % 3) * 100, || &roots, Some(site))
                 .unwrap();
         }
-        heap.alloc_with_roots_sited(&mut mem, 5000, &roots, Some("big@3:3"))
+        heap.alloc_with_roots_sited(&mut mem, 5000, || &roots, Some("big@3:3"))
             .unwrap();
         let snap = heap.snapshot_nodes();
         let d = heap.dump();

@@ -49,7 +49,7 @@ fn main() {
     for _ in 0..64 {
         let r = roots(&[&window, &sessions]);
         let a = heap
-            .alloc_with_roots_sited(&mut mem, 48, &r, Some(CHURN))
+            .alloc_with_roots_sited(&mut mem, 48, || &r, Some(CHURN))
             .expect("alloc");
         window.push(a);
         if window.len() > 32 {
@@ -63,7 +63,7 @@ fn main() {
     for _ in 0..256 {
         let r = roots(&[&window, &sessions]);
         let a = heap
-            .alloc_with_roots_sited(&mut mem, 48, &r, Some(CHURN))
+            .alloc_with_roots_sited(&mut mem, 48, || &r, Some(CHURN))
             .expect("alloc");
         window.push(a);
         if window.len() > 32 {
@@ -71,7 +71,7 @@ fn main() {
         }
         let r = roots(&[&window, &sessions]);
         let s = heap
-            .alloc_with_roots_sited(&mut mem, 64, &r, Some(LEAK))
+            .alloc_with_roots_sited(&mut mem, 64, || &r, Some(LEAK))
             .expect("alloc");
         sessions.push(s);
     }

@@ -725,7 +725,7 @@ fn snapshot_totals_agree_with_census_at_every_observation_point() {
                 roots.add_word(a);
             }
             let addr = heap
-                .alloc_with_roots_sited(&mut mem, size, &roots, Some("prop@1:1"))
+                .alloc_with_roots_sited(&mut mem, size, || &roots, Some("prop@1:1"))
                 .expect("schedule fits the heap");
             live.push(addr);
             // A sliding window of survivors: unrooted objects become
