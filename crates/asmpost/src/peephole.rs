@@ -416,8 +416,16 @@ fn pattern2_forward_mov(f: &mut AsmFunc, bi: usize, lv: &AsmLiveness) -> Peephol
             i += 1;
             continue;
         }
+        // An end instruction that redefines z may also read it (`add
+        // z,1,z`); x is unmodified through that read, so it is rewritten
+        // too — otherwise deleting the mov leaves it reading a stale z.
         let b = &mut f.blocks[bi];
-        for j in i + 1..end {
+        let last = if end < b.instrs.len() && b.instrs[end].writes() == Some(z) {
+            end + 1
+        } else {
+            end
+        };
+        for j in i + 1..last {
             replace_reads(&mut b.instrs[j], z, x);
         }
         b.instrs.remove(i);
@@ -706,6 +714,30 @@ mod tests {
             stats.movs_forwarded, 0,
             "z used after x changed: keep the mov"
         );
+    }
+
+    #[test]
+    fn pattern2_rewrites_the_region_end_that_reads_and_redefines_z() {
+        let st = |rs: u8| AsmInstr::St {
+            rs: Reg(rs),
+            base: Reg(6),
+            off: RegImm::Imm(0),
+            width: 8,
+        };
+        let mut f = block(vec![
+            AsmInstr::Mov {
+                rd: Reg(2),
+                src: RegImm::Reg(Reg(1)),
+            },
+            st(2),
+            add(2, 2, RegImm::Imm(1)),
+            st(2),
+            AsmInstr::Ret,
+        ]);
+        let stats = postprocess(&mut f);
+        assert_eq!(stats.movs_forwarded, 1, "{}", f.listing());
+        let want = block(vec![st(1), add(2, 1, RegImm::Imm(1)), st(2), AsmInstr::Ret]);
+        assert_eq!(f, want, "{}", f.listing());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!                [--tiny] [--jobs N] [--trace <file.jsonl>]
 //!                [--prof <file.prom>] [--folded <file.txt>]
 //!                [--bench-json <file.json>] [--repeat N]
-//!                [--timeline <file.json>] [--bench-cache <file.json>]
-//!                [--bench-opt <file.json>] [--snap-dir <dir>]`
+//!                [--timeline <file.json>] [--bench-opt <file.json>]
+//!                [--snap-dir <dir>]`
 //!
 //! The 4 workloads × 5 modes measurement matrix runs in parallel across
 //! `--jobs N` worker threads (default: all cores); every table and trace
@@ -39,24 +39,15 @@
 //! and each is written to `<dir>/{workload}__{mode}__{label}.json` in
 //! the versioned `snap/1` schema, round-trip validated before it lands.
 //! Snapshots carry no wall-clock data, so the files are byte-identical
-//! at any `--jobs` and across cold/warm compilation caches. Diff a pair
+//! at any `--jobs` and across cold/warm build memos. Diff a pair
 //! with `bench snap diff`.
-//!
-//! With `--bench-cache`, the compilation-cache benchmark runs after the
-//! tables: the measurement matrix and a fuzz campaign, each cold (caches
-//! cleared) then warm, writing per-pass wall times and per-stage
-//! hit/miss deltas to `<file.json>` (schema `cache/1`, gated by `bench
-//! compare --budgets budgets-cache.toml`). The warm passes double as a
-//! soundness smoke — byte-identical artifacts, equal fuzz verdicts, zero
-//! misses — so the run fails loudly on any cache unsoundness.
-//! Incompatible with `--repeat` (the cache bench times single passes).
 //!
 //! With `--bench-opt`, the optimizer benchmark writes `<file.json>`
 //! (schema `opt/1`, gated by `bench compare --budgets budgets-opt.toml`):
 //! per-pass fire totals over the matrix's optimizer modes, fixpoint
 //! driver statistics, and seed-vs-full cycle comparisons per workload ×
 //! machine. The document carries no wall-clock fields, so it is
-//! byte-identical at any `--jobs` and across cold/warm caches.
+//! byte-identical at any `--jobs` and across cold/warm build memos.
 
 use gc_safety::{JsonlSink, Observe, ProfHandle, SnapHandle, TraceHandle};
 use gcbench::*;
@@ -100,11 +91,6 @@ fn main() {
         .position(|a| a == "--timeline")
         .and_then(|i| args.get(i + 1))
         .map(String::as_str);
-    let bench_cache_path: Option<&str> = args
-        .iter()
-        .position(|a| a == "--bench-cache")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
     let bench_opt_path: Option<&str> = args
         .iter()
         .position(|a| a == "--bench-opt")
@@ -117,10 +103,6 @@ fn main() {
         .map(String::as_str);
     if folded_path.is_some() && prof_path.is_none() {
         eprintln!("error: --folded requires --prof (profiling must be enabled)");
-        std::process::exit(2);
-    }
-    if bench_cache_path.is_some() && args.iter().any(|a| a == "--repeat") {
-        eprintln!("error: --bench-cache is incompatible with --repeat (it times single passes)");
         std::process::exit(2);
     }
     let repeat = match args
@@ -399,31 +381,6 @@ fn main() {
             }
         }
     }
-    if let Some(path) = bench_cache_path {
-        // The cache trajectory: matrix and fuzz campaign, cold then
-        // warm, with the warm passes doubling as a soundness smoke.
-        let fuzz_seed = 1;
-        let fuzz_count = 64;
-        match run_cache_bench(scale, jobs, fuzz_seed, fuzz_count) {
-            Ok(text) => match validate_bench_cache_json(&text) {
-                Ok(cells) => {
-                    if let Err(e) = std::fs::write(path, &text) {
-                        eprintln!("error: cannot write cache bench json '{path}': {e}");
-                        std::process::exit(1);
-                    }
-                    println!("\ncache trajectory: {cells} cells written to {path}");
-                }
-                Err(e) => {
-                    eprintln!("error: generated cache bench json does not validate: {e}");
-                    std::process::exit(1);
-                }
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     if let Some(path) = bench_opt_path {
         // The optimizer trajectory: per-pass fire totals, fixpoint
         // statistics, and seed-vs-full cycle cells, all deterministic.
@@ -447,20 +404,16 @@ fn main() {
             }
         }
     }
-    // The process-cumulative cache counters, one ("cache", "stats")
-    // event per stage plus a total, so traces record how much of the run
-    // the compilation cache absorbed. Emitted last: the counters cover
-    // everything above, including the cache bench passes.
+    // The process-cumulative last-build memo counters, one
+    // ("cache", "stats") event per memo, so traces record how many builds
+    // were reused. Emitted last: the counters cover everything above.
     if observe.trace.is_enabled() {
-        let stats = gc_safety::cache_stats();
-        for s in stats.iter().chain(std::iter::once(&gccache::total(&stats))) {
+        for s in gc_safety::cache_stats() {
             observe.trace.emit(|| {
                 gc_safety::Event::new("cache", "stats")
-                    .field("stage", s.stage)
+                    .field("memo", s.stage)
                     .field("hits", s.hits)
                     .field("misses", s.misses)
-                    .field("evictions", s.evictions)
-                    .field("entries", s.entries)
             });
         }
     }

@@ -608,14 +608,18 @@ pub fn prof_report(data: &Dataset) -> String {
     out
 }
 
+/// Picks one histogram out of a cell's profile.
+type HistField = fn(&ProfData) -> &gc_safety::Histogram;
+
 /// Prometheus text exposition for a profiled [`Dataset`]: every cell's
 /// counters, histograms, site totals, census gauges, and MMU windows,
-/// labelled `{workload=..., mode=...}`, plus the process-wide compilation
-/// cache counters. Metric families whose names start with `gcprof_pause`,
+/// labelled `{workload=..., mode=...}`, plus the process-wide last-build
+/// memo counters. Metric families whose names start with `gcprof_pause`,
 /// `gcprof_mark`, `gcprof_sweep_ns`, `gcprof_mmu`, `gc_pause`, or
-/// `gccache_` carry wall-clock or schedule-dependent data (cache counters
-/// race across `--jobs` workers); everything else is deterministic across
-/// `--jobs` (the parallel-determinism test relies on that prefix split).
+/// `gccache_` carry wall-clock or schedule-dependent data (memo counters
+/// depend on which worker built what); everything else is deterministic
+/// across `--jobs` (the parallel-determinism test relies on that prefix
+/// split).
 pub fn prometheus_export(data: &Dataset) -> String {
     let cells = prof_cells(data);
     let mut w = gc_safety::PromWriter::new();
@@ -631,7 +635,7 @@ pub fn prometheus_export(data: &Dataset) -> String {
             d.collections,
         );
     }
-    let hists: [(&str, &str, fn(&ProfData) -> &gc_safety::Histogram); 5] = [
+    let hists: [(&str, &str, HistField); 5] = [
         (
             "gcprof_alloc_size_bytes",
             "Requested allocation sizes",
@@ -818,7 +822,7 @@ pub fn prometheus_export(data: &Dataset) -> String {
         "Dominator-retained bytes per allocation site (top 5, end-of-run snapshot)",
         "gauge",
     );
-    for (name, mode, snaps) in snap_cells(data) {
+    for SnapCell { name, mode, snaps } in snap_cells(data) {
         let Some((_, snap)) = snaps.iter().find(|(l, _)| l == "end") else {
             continue;
         };
@@ -858,72 +862,48 @@ pub fn prometheus_export(data: &Dataset) -> String {
             w.sample("opt_fixpoint_sweeps", &[("stat", stat)], v);
         }
     }
-    // Compilation-cache counters. These are cumulative for the process
-    // (not per-cell) and schedule-dependent — racing workers may both
-    // miss one key — which is why every family sits under the stripped
-    // `gccache_` prefix.
-    let cache = gc_safety::cache_stats();
+    // Last-build memo counters. These are cumulative for the process
+    // (not per-cell) and schedule-dependent — which worker built what
+    // decides what a memo can reuse — which is why the family sits under
+    // the stripped `gccache_` prefix.
     w.family(
         "gccache_lookups_total",
-        "Compilation cache lookups by stage and result",
+        "Last-build memo lookups by stage and result",
         "counter",
     );
-    for s in &cache {
-        w.sample(
-            "gccache_lookups_total",
-            &[("stage", s.stage), ("result", "hit")],
-            s.hits,
-        );
-        w.sample(
-            "gccache_lookups_total",
-            &[("stage", s.stage), ("result", "miss")],
-            s.misses,
-        );
-    }
-    w.family(
-        "gccache_evictions_total",
-        "Compilation cache entries dropped by FIFO eviction",
-        "counter",
-    );
-    for s in &cache {
-        w.sample(
-            "gccache_evictions_total",
-            &[("stage", s.stage)],
-            s.evictions,
-        );
-    }
-    w.family(
-        "gccache_entries",
-        "Compilation cache resident entries",
-        "gauge",
-    );
-    for s in &cache {
-        w.sample("gccache_entries", &[("stage", s.stage)], s.entries);
-    }
-    w.family(
-        "gccache_hit_rate_permille",
-        "Compilation cache hit rate per stage",
-        "gauge",
-    );
-    for s in &cache {
-        w.sample(
-            "gccache_hit_rate_permille",
-            &[("stage", s.stage)],
-            s.hit_rate_permille(),
-        );
+    for s in gc_safety::cache_stats() {
+        for (result, n) in [("hit", s.hits), ("miss", s.misses)] {
+            w.sample(
+                "gccache_lookups_total",
+                &[("stage", s.stage), ("result", result)],
+                n,
+            );
+        }
     }
     w.finish()
 }
 
-/// Every snapped cell in row order: `(workload, mode, snapshots)` for
-/// cells whose [`gcsnap::SnapHandle`] collected anything.
-fn snap_cells(data: &Dataset) -> Vec<(&'static str, Mode, Vec<(String, gcsnap::Snapshot)>)> {
+/// One snapped matrix cell: its `(label, snapshot)` pairs in recording
+/// order.
+struct SnapCell {
+    name: &'static str,
+    mode: Mode,
+    snaps: Vec<(String, gcsnap::Snapshot)>,
+}
+
+/// Every snapped cell in row order, for cells whose
+/// [`gcsnap::SnapHandle`] collected anything.
+fn snap_cells(data: &Dataset) -> Vec<SnapCell> {
     let mut out = Vec::new();
     for (name, results) in &data.rows {
         for (mode, m) in results {
             if let Some(snaps) = m.observe.snap.snapshots() {
                 if !snaps.is_empty() {
-                    out.push((*name, *mode, snaps));
+                    out.push(SnapCell {
+                        name,
+                        mode: *mode,
+                        snaps,
+                    });
                 }
             }
         }
@@ -937,8 +917,8 @@ fn snap_cells(data: &Dataset) -> Vec<(&'static str, Mode, Vec<(String, gcsnap::S
 /// document is round-tripped through [`gcsnap::validate`] before it is
 /// returned, so a corrupt export fails here rather than downstream.
 /// Snapshots carry no wall-clock data, so the whole export set is
-/// byte-identical at any `--jobs` and across cold/warm compilation
-/// caches.
+/// byte-identical at any `--jobs` and across cold/warm build
+/// memos.
 ///
 /// # Errors
 ///
@@ -946,7 +926,7 @@ fn snap_cells(data: &Dataset) -> Vec<(&'static str, Mode, Vec<(String, gcsnap::S
 /// round-trip validation (which would indicate a serializer bug).
 pub fn snap_exports(data: &Dataset) -> Result<Vec<(String, String)>, String> {
     let mut out = Vec::new();
-    for (name, mode, snaps) in snap_cells(data) {
+    for SnapCell { name, mode, snaps } in snap_cells(data) {
         for (label, snap) in &snaps {
             let a = gcsnap::analyze(snap);
             let json = gcsnap::to_json(label, snap, &a);
@@ -1105,7 +1085,7 @@ pub fn validate_bench_gc_json(text: &str) -> Result<usize, String> {
     })
 }
 
-/// The one trajectory validator behind `gc/1`, `cache/1` and `opt/1`:
+/// The one trajectory validator behind `gc/1` and `opt/1`:
 /// every cell [`gcwatch::stats::parse_cells`] reads must carry `schema`,
 /// a `kind` that `required_keys_for_kind` knows, and every key that
 /// function lists for it. Returns the number of cells.
@@ -1211,223 +1191,6 @@ pub fn timeline_cells(data: &Dataset, micro: &[MicroCell]) -> Vec<gcwatch::Timel
     out
 }
 
-/// One timed pass of the cache benchmark: a workload (`"matrix"` or
-/// `"campaign"`) run either `"cold"` (caches just cleared) or `"warm"`
-/// (immediately after an identical cold pass), with the per-stage
-/// counter *deltas* attributable to this pass. `wall_ns` is wall-clock
-/// and moves run to run; the hit/miss deltas are deterministic for a
-/// fixed workload and cache state.
-#[derive(Debug, Clone)]
-pub struct CachePass {
-    /// `"matrix"` (the 4×5 measurement matrix) or `"campaign"` (the
-    /// fuzz oracle's five-mode differential builds).
-    pub workload: &'static str,
-    /// `"cold"` or `"warm"`.
-    pub mode: &'static str,
-    /// Wall-clock duration of the pass.
-    pub wall_ns: u64,
-    /// Per-stage hit/miss/eviction deltas for the pass; `entries` is the
-    /// absolute resident count when the pass finished.
-    pub stages: Vec<gc_safety::StageStats>,
-}
-
-/// Per-stage counter deltas between two [`gc_safety::cache_stats`]
-/// snapshots: hits/misses/evictions are `after − before` (the global
-/// counters are process-cumulative and survive [`gc_safety::cache_clear`]),
-/// `entries` is `after`'s absolute count.
-fn stage_deltas(
-    before: &[gc_safety::StageStats],
-    after: &[gc_safety::StageStats],
-) -> Vec<gc_safety::StageStats> {
-    after
-        .iter()
-        .map(|a| {
-            let b = before.iter().find(|b| b.stage == a.stage);
-            let base = |f: fn(&gc_safety::StageStats) -> u64| b.map(f).unwrap_or(0);
-            gc_safety::StageStats {
-                stage: a.stage,
-                hits: a.hits.saturating_sub(base(|s| s.hits)),
-                misses: a.misses.saturating_sub(base(|s| s.misses)),
-                evictions: a.evictions.saturating_sub(base(|s| s.evictions)),
-                entries: a.entries,
-            }
-        })
-        .collect()
-}
-
-/// The compilation-cache trajectory (`BENCH_cache.json`): a JSON array
-/// with one flat object per [`CachePass`]. Schema `cache/1`; each cell
-/// carries the pass wall time, per-stage `<stage>_hits` /
-/// `<stage>_misses` / `<stage>_evictions` / `<stage>_entries` deltas,
-/// their totals, and `hit_rate_permille` — the field the
-/// `budgets-cache.toml` floors key on. `wall_ns` is wall-clock; every
-/// count is deterministic per pass.
-pub fn bench_cache_json(passes: &[CachePass]) -> String {
-    let mut lines = Vec::new();
-    for pass in passes {
-        let mut w = gctrace::json::Writer::new();
-        w.str_field("schema", "cache/1");
-        w.str_field("kind", "cache");
-        w.str_field("workload", pass.workload);
-        w.str_field("mode", pass.mode);
-        w.uint_field("wall_ns", pass.wall_ns);
-        for s in &pass.stages {
-            w.uint_field(&format!("{}_hits", s.stage), s.hits);
-            w.uint_field(&format!("{}_misses", s.stage), s.misses);
-            w.uint_field(&format!("{}_evictions", s.stage), s.evictions);
-            w.uint_field(&format!("{}_entries", s.stage), s.entries);
-        }
-        let t = gccache::total(&pass.stages);
-        w.uint_field("hits", t.hits);
-        w.uint_field("misses", t.misses);
-        w.uint_field("evictions", t.evictions);
-        w.uint_field("hit_rate_permille", t.hit_rate_permille());
-        lines.push(format!("  {}", w.finish()));
-    }
-    format!("[\n{}\n]\n", lines.join(",\n"))
-}
-
-/// Validates a [`bench_cache_json`] document: every line between the
-/// array brackets must parse as a flat JSON object carrying the
-/// `cache/1` schema tag and the fields the cache gate keys on. Returns
-/// the number of cells.
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed cell.
-pub fn validate_bench_cache_json(text: &str) -> Result<usize, String> {
-    validate_cells(text, "cache/1", |_| {
-        Some(&[
-            "workload",
-            "mode",
-            "wall_ns",
-            "hits",
-            "misses",
-            "hit_rate_permille",
-        ])
-    })
-}
-
-/// The deterministic artifact set the cache bench byte-compares across
-/// cold and warm passes: the three slowdown tables, the codesize and
-/// postprocessor tables, and the flamegraph folded stacks. (The
-/// Prometheus export and JSON trajectories carry wall-clock fields, so
-/// they are covered by the stripped-metric comparisons in the test
-/// suite instead.)
-fn cache_bench_artifacts(data: &Dataset) -> String {
-    let mut out = String::new();
-    for key in ["sparc2", "sparc10", "pentium90"] {
-        out.push_str(&slowdown_table(data, key));
-    }
-    out.push_str(&codesize_table(data));
-    out.push_str(&postprocessor_table(data));
-    out.push_str(&folded_export(data));
-    out
-}
-
-/// Runs the cache benchmark and returns the [`bench_cache_json`]
-/// document: the measurement matrix and a `fuzz_count`-case fuzz
-/// campaign, each run cold (caches cleared) and then warm, timing every
-/// pass and attributing per-stage hit/miss deltas to it.
-///
-/// This is also the cache's soundness smoke: the warm matrix must
-/// reproduce the cold pass's deterministic artifacts byte-for-byte
-/// ([`cache_bench_artifacts`]) with zero cache misses, and the warm
-/// campaign must return a [`gcfuzz::Report`] equal to the cold one.
-/// Keep `fuzz_count` modest (≲ 80): the campaign compiles each case
-/// under four distinct option sets, and the warm-pass zero-miss
-/// assertion needs all of them resident in the 512-entry compile and
-/// lower caches.
-///
-/// # Errors
-///
-/// Build failures, cross-mode divergence, cold/warm artifact or verdict
-/// mismatches, and unexpected warm-pass misses are all reported as
-/// messages (the caller should treat any of them as a failed run).
-pub fn run_cache_bench(
-    scale: Scale,
-    jobs: usize,
-    fuzz_seed: u64,
-    fuzz_count: u64,
-) -> Result<String, String> {
-    fn timed<T>(
-        passes: &mut Vec<CachePass>,
-        workload: &'static str,
-        mode: &'static str,
-        run: impl FnOnce() -> Result<T, String>,
-    ) -> Result<T, String> {
-        let before = gc_safety::cache_stats();
-        let start = std::time::Instant::now();
-        let out = run()?;
-        let wall_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let after = gc_safety::cache_stats();
-        passes.push(CachePass {
-            workload,
-            mode,
-            wall_ns,
-            stages: stage_deltas(&before, &after),
-        });
-        Ok(out)
-    }
-    if !gccache::enabled() {
-        return Err("cache bench: the compilation cache is disabled".into());
-    }
-    let mut passes = Vec::new();
-    let profiled = Observe {
-        prof: ProfHandle::enabled(),
-        ..Observe::default()
-    };
-    let matrix = || collect(scale, jobs, &profiled);
-
-    // Matrix, cold then warm: identical inputs, so the warm pass must be
-    // served entirely from cache and reproduce every deterministic
-    // artifact byte-for-byte.
-    gc_safety::cache_clear();
-    let cold = timed(&mut passes, "matrix", "cold", matrix)?;
-    let warm = timed(&mut passes, "matrix", "warm", matrix)?;
-    if cache_bench_artifacts(&cold) != cache_bench_artifacts(&warm) {
-        return Err(
-            "cache bench: warm matrix artifacts diverge from the cold pass (cache unsoundness)"
-                .into(),
-        );
-    }
-    let t = gccache::total(&passes.last().expect("warm matrix pass").stages);
-    if t.misses != 0 || t.hits == 0 {
-        return Err(format!(
-            "cache bench: warm matrix pass expected pure hits, got {} hits / {} misses",
-            t.hits, t.misses
-        ));
-    }
-
-    // Fuzz campaign, cold then warm: the oracle's five-mode differential
-    // builds all flow through the compile cache, and the verdicts must
-    // not move when they are served from it.
-    gc_safety::cache_clear();
-    let campaign = || Ok::<_, String>(gcfuzz::run_campaign(fuzz_seed, fuzz_count, jobs));
-    let cold_report = timed(&mut passes, "campaign", "cold", campaign)?;
-    let warm_report = timed(&mut passes, "campaign", "warm", campaign)?;
-    if !cold_report.failures.is_empty() {
-        return Err(format!(
-            "cache bench: fuzz campaign (seed {fuzz_seed}) found {} divergent case(s)",
-            cold_report.failures.len()
-        ));
-    }
-    if cold_report != warm_report {
-        return Err(
-            "cache bench: warm campaign verdicts diverge from the cold pass (cache unsoundness)"
-                .into(),
-        );
-    }
-    let t = gccache::total(&passes.last().expect("warm campaign pass").stages);
-    if t.misses != 0 || t.hits == 0 {
-        return Err(format!(
-            "cache bench: warm campaign pass expected pure hits, got {} hits / {} misses",
-            t.hits, t.misses
-        ));
-    }
-    Ok(bench_cache_json(&passes))
-}
-
 /// A deterministic synthetic kernel folded into the optimizer fire-count
 /// sweep alongside the paper workloads. Each region is shaped for one of
 /// the registry's gated passes — back-to-back stores for dse, a branch
@@ -1474,7 +1237,7 @@ int main(void) {
 /// driven to fixpoint with a ledger attached. Everything here is a
 /// deterministic function of the sources and the pass registry — no
 /// wall-clock, no thread schedule — so the numbers are byte-identical
-/// at any `--jobs` and across cold/warm compilation caches.
+/// at any `--jobs` and across cold/warm build memos.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptSweep {
     /// `(pass name, total fires)` in registry order, summed over the sweep.

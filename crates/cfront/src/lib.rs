@@ -31,7 +31,6 @@
 pub mod ast;
 pub mod edit;
 pub mod error;
-pub mod hash;
 pub mod lexer;
 pub mod normalize;
 pub mod parser;
@@ -43,7 +42,6 @@ pub mod types;
 pub use ast::{Block, Expr, ExprKind, FuncDef, NodeId, Program, Stmt};
 pub use edit::EditList;
 pub use error::{FrontError, FrontResult};
-pub use hash::{function_hash, program_hash, program_hashes, ProgramHashes};
 pub use normalize::{normalize_expr, normalize_program};
 pub use parser::{parse, parse_expr};
 pub use sema::{analyze, Builtin, Resolution, SemaInfo, VarId};

@@ -35,7 +35,7 @@ use gctrace::{Event, TraceHandle};
 use std::collections::HashMap;
 
 /// Annotation mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
     /// Insert `KEEP_LIVE` for compiler GC-safety.
     #[default]
@@ -45,7 +45,7 @@ pub enum Mode {
 }
 
 /// Annotator configuration (mode plus the paper's optimizations).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Which primitive to insert.
     pub mode: Mode,

@@ -556,27 +556,17 @@ impl FuncIr {
 
 /// Source location of one allocation call, recorded during lowering so
 /// the VM (and gcprof) can attribute every heap allocation back to the
-/// program point that asked for it.
-///
-/// Positions are bound in two steps. Lowering records the call
-/// expression's [`cfront::NodeId`] and span; both refer to the *original*
-/// source the program was parsed from (the annotator preserves the ids
-/// and spans of the nodes it rewrites). After compilation —
-/// whether fresh or served from the compilation cache — the sites are
-/// re-bound against the requesting program's AST and source text via
-/// [`ProgramIr::rebind_alloc_sites`], which is what keeps `line`/`col`
-/// labels correct when a structurally-identical but differently-formatted
-/// program shares cached IR.
+/// program point that asked for it. Lowering records the call
+/// expression's span, which indexes the *original* source even for
+/// annotated builds (the annotator preserves the spans of the nodes it
+/// rewrites); `line`/`col` start at 0 and are resolved from that source
+/// once compilation finishes ([`ProgramIr::resolve_alloc_sites`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocSite {
     /// Name of the enclosing function.
     pub func: String,
     /// Allocation primitive: `"malloc"`, `"calloc"`, or `"realloc"`.
     pub primitive: &'static str,
-    /// Id of the call expression in the parsed AST — the stable
-    /// correspondence between structurally-equal programs (the parser
-    /// assigns ids in syntax order, which formatting cannot change).
-    pub node: cfront::NodeId,
     /// Byte offset of the call expression in the original source text.
     pub span_start: usize,
     /// 1-based source line (0 until resolved).
@@ -614,37 +604,9 @@ impl ProgramIr {
     }
 
     /// Resolves every allocation site's `line`/`col` from its recorded
-    /// `span_start` against the original source text. Prefer
-    /// [`Self::rebind_alloc_sites`], which also re-binds the spans
-    /// themselves to the requesting program's AST.
+    /// `span_start` against the original source text.
     pub fn resolve_alloc_sites(&mut self, source: &str) {
         for site in &mut self.alloc_sites {
-            let (line, col) = cfront::span::line_col(source, site.span_start);
-            site.line = line;
-            site.col = col;
-        }
-    }
-
-    /// Re-binds every allocation site to the *requesting* program: each
-    /// site's span is looked up by [`cfront::NodeId`] in `spans` (a map
-    /// built from the requester's freshly parsed AST) and its `line`/`col`
-    /// resolved against the requester's `source`.
-    ///
-    /// This runs after every compilation, cached or not. On a cache hit
-    /// the shared IR carries the donor program's byte offsets — without
-    /// re-binding, a whitespace-divergent but hash-equal program would
-    /// report the donor's `malloc@line:col` coordinates in its own
-    /// profiles. A node missing from `spans` (not expected in practice)
-    /// keeps its recorded span.
-    pub fn rebind_alloc_sites(
-        &mut self,
-        spans: &std::collections::HashMap<cfront::NodeId, usize>,
-        source: &str,
-    ) {
-        for site in &mut self.alloc_sites {
-            if let Some(&start) = spans.get(&site.node) {
-                site.span_start = start;
-            }
             let (line, col) = cfront::span::line_col(source, site.span_start);
             site.line = line;
             site.col = col;

@@ -57,12 +57,11 @@ pub use vm::{run, ExecOutcome, Profile, VmError, VmOptions};
 pub use gctrace::TraceHandle;
 
 use gcsafe::Config as AnnotConfig;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// End-to-end compilation options: the paper's measurement axes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Annotation config, if the gcsafe/checked preprocessor runs.
     pub annotate: Option<AnnotConfig>,
@@ -133,6 +132,12 @@ pub fn compile(source: &str, options: &CompileOptions) -> Result<ProgramIr, Stri
 /// optimizer's per-pass rewrite events, and — for annotated builds — the
 /// static verifier's per-function verdicts all flow to `trace`.
 ///
+/// Untraced builds go through a one-entry memo per thread: a request for
+/// the exact source text and options of the thread's last untraced build
+/// returns a copy of its IR (this is how `-O, safe+post` reuses the
+/// `-O, safe` build of the same text). A traced request always compiles
+/// live, so its event stream is the cold stream.
+///
 /// # Errors
 ///
 /// Same as [`compile`].
@@ -141,193 +146,115 @@ pub fn compile_traced(
     options: &CompileOptions,
     trace: &TraceHandle,
 ) -> Result<ProgramIr, String> {
-    compile_keyed_traced(source, options, trace).map(|(ir, _)| ir)
-}
-
-/// One memoized end-to-end compilation: the optimized (and, for annotated
-/// builds, verified) IR, plus — when the producing run was traced — the
-/// exact source fingerprint and the full compile-time event stream
-/// (annotate audit, optimizer summaries, verifier verdicts) for replay.
-struct CompileEntry {
-    ir: ProgramIr,
-    events: Option<(u64, Vec<gctrace::Event>)>,
-}
-
-/// Lower-cache key: structural program hash, the annotation configuration
-/// (None for unannotated builds), and the lowering options.
-type LowerKey = (u64, Option<AnnotConfig>, LowerOptions);
-
-fn lower_cache() -> &'static gccache::Cache<LowerKey, Arc<ProgramIr>> {
-    static CACHE: OnceLock<gccache::Cache<LowerKey, Arc<ProgramIr>>> = OnceLock::new();
-    CACHE.get_or_init(|| gccache::Cache::new("lower", 512))
-}
-
-fn compile_cache() -> &'static gccache::Cache<(u64, CompileOptions), Arc<CompileEntry>> {
-    static CACHE: OnceLock<gccache::Cache<(u64, CompileOptions), Arc<CompileEntry>>> =
-        OnceLock::new();
-    CACHE.get_or_init(|| gccache::Cache::new("compile", 512))
-}
-
-/// Counter snapshots for every pipeline-stage cache this crate (and the
-/// annotator beneath it) maintains: `annotate`, `lower`, `compile`.
-pub fn pipeline_cache_stats() -> Vec<gccache::StageStats> {
-    vec![
-        gcsafe::annotate_cache_stats(),
-        lower_cache().stats(),
-        compile_cache().stats(),
-    ]
-}
-
-/// Drops every memoized pipeline artifact (counters are cumulative).
-/// Safe at any time: a cleared cache only changes speed, never results.
-pub fn pipeline_cache_clear() {
-    gcsafe::annotate_cache_clear();
-    lower_cache().clear();
-    compile_cache().clear();
-}
-
-/// Builds the requester's `NodeId → span.start` table for alloc-site
-/// re-binding. Only function bodies matter: allocation calls cannot occur
-/// in global initializers.
-fn node_spans(program: &cfront::Program) -> HashMap<cfront::NodeId, usize> {
-    let mut spans = HashMap::new();
-    for f in &program.funcs {
-        if let Some(body) = &f.body {
-            for stmt in &body.stmts {
-                cfront::ast::visit_exprs(stmt, &mut |e| {
-                    spans.insert(e.id, e.span.start);
-                });
-            }
-        }
+    if trace.is_enabled() {
+        return compile_live(source, options, trace);
     }
-    spans
+    let hit = LAST_BUILD.with_borrow(|last| match last {
+        Some((s, o, ir)) if s == source && o == options => Some(ir.clone()),
+        _ => None,
+    });
+    COMPILE_MEMO.record(hit.is_some());
+    if let Some(ir) = hit {
+        return Ok(ir);
+    }
+    let ir = compile_live(source, options, trace)?;
+    LAST_BUILD.set(Some((source.to_string(), options.clone(), ir.clone())));
+    Ok(ir)
 }
 
-/// [`compile_traced`], additionally returning the compilation key — the
-/// fingerprint of (structural program hash, options) that downstream
-/// caches (per-machine asm in the facade) key their own artifacts on.
-///
-/// The pipeline is memoized per stage in process-global caches:
-///
-/// * **annotate** (in `gcsafe`) — keyed by structural hash + config,
-///   usable only for the exact source text (edit lists are positional);
-/// * **lower** — un-optimized [`ProgramIr`] keyed by structural hash +
-///   annotation config + lowering options, shared across formatting;
-/// * **compile** — the finished IR keyed by structural hash + the full
-///   [`CompileOptions`], shared across formatting.
-///
-/// Determinism contract: a cache hit is byte-identical to a cold compile.
-/// Alloc-site labels are re-bound to the requesting program's AST on
-/// every path, and traced requests only accept entries that carry the
-/// event stream of an identical source text, replaying it verbatim;
-/// otherwise the event-emitting stages run live and the entry is
-/// refreshed.
-///
-/// # Errors
-///
-/// Same as [`compile`].
-pub fn compile_keyed_traced(
+fn compile_live(
     source: &str,
     options: &CompileOptions,
     trace: &TraceHandle,
-) -> Result<(ProgramIr, u64), String> {
-    let parsed = cfront::parse(source).map_err(|e| e.render(source))?;
-    let h = cfront::program_hash(&parsed);
-    let spans = node_spans(&parsed);
-    let key = (h, options.clone());
-    let ckey = {
-        let mut f = gccache::Fnv1a::new();
-        key.hash(&mut f);
-        f.finish()
-    };
-    let src_fp = gccache::fingerprint(source.as_bytes());
-    let traced = trace.is_enabled();
-
-    if let Some(entry) = compile_cache().get_if(&key, |e| {
-        !traced || e.events.as_ref().is_some_and(|(fp, _)| *fp == src_fp)
-    }) {
-        if traced {
-            if let Some((_, events)) = &entry.events {
-                for ev in events {
-                    trace.emit(|| ev.clone());
-                }
-            }
+) -> Result<ProgramIr, String> {
+    let (program, sema) = match &options.annotate {
+        Some(cfg) => {
+            let annotated = gcsafe::annotate_program_traced(source, cfg, trace)
+                .map_err(|e| e.render(source))?;
+            (annotated.program, annotated.sema)
         }
-        let mut ir = entry.ir.clone();
-        ir.rebind_alloc_sites(&spans, source);
-        return Ok((ir, ckey));
-    }
-
-    // Cold path (or a traced request for which no replayable event stream
-    // exists). Tee the trace so the event stream can be stored alongside
-    // the artifact.
-    let capture = trace
-        .sink()
-        .map(|inner| Arc::new(gctrace::CaptureSink::new(inner)));
-    let work_trace = match &capture {
-        Some(c) => TraceHandle::new(c.clone()),
-        None => TraceHandle::disabled(),
-    };
-
-    let lkey = (h, options.annotate.clone(), options.lower);
-    let annotating = options.annotate.is_some();
-    // When traced and annotating, the annotate stage must run (or replay
-    // from its own cache) even if the lowered IR is already memoized —
-    // the audit events are part of the compile's observable output.
-    let lowered = if traced && annotating {
-        None
-    } else {
-        lower_cache().get(&lkey)
-    };
-    let mut ir = match lowered {
-        Some(ir) => (*ir).clone(),
         None => {
-            let (program, sema) = match &options.annotate {
-                Some(cfg) => {
-                    let annotated =
-                        gcsafe::annotate_parsed_traced(parsed, source, cfg, &work_trace)
-                            .map_err(|e| e.render(source))?;
-                    (annotated.program, annotated.sema)
-                }
-                None => {
-                    let mut program = parsed;
-                    let sema = cfront::analyze(&mut program).map_err(|e| e.render(source))?;
-                    (program, sema)
-                }
-            };
-            // The annotate stage ran for its events; the lowered IR may
-            // still be memoized when the pre-annotate lookup was skipped.
-            let memoized = if traced && annotating {
-                lower_cache().get(&lkey)
-            } else {
-                None
-            };
-            match memoized {
-                Some(ir) => (*ir).clone(),
-                None => {
-                    let ir = lower(&program, &sema, options.lower).map_err(|e| e.to_string())?;
-                    lower_cache().insert(lkey, Arc::new(ir.clone()));
-                    ir
-                }
-            }
+            let mut program = cfront::parse(source).map_err(|e| e.render(source))?;
+            let sema = cfront::analyze(&mut program).map_err(|e| e.render(source))?;
+            (program, sema)
         }
     };
-    optimize_traced(&mut ir, options.opt, &work_trace);
+    let mut ir = lower(&program, &sema, options.lower).map_err(|e| e.to_string())?;
+    ir.resolve_alloc_sites(source);
+    optimize_traced(&mut ir, options.opt, trace);
     // The verifier is observability-only here: run it (and emit verdicts)
     // only when someone is listening, and only for annotated builds where
     // a clean verdict is the expected invariant.
-    if work_trace.is_enabled() && annotating {
-        let _ = verify_program_traced(&ir, false, &work_trace);
+    if trace.is_enabled() && options.annotate.is_some() {
+        let _ = verify_program_traced(&ir, false, trace);
     }
-    compile_cache().insert(
-        key,
-        Arc::new(CompileEntry {
-            ir: ir.clone(),
-            events: capture.map(|c| (src_fp, c.take())),
-        }),
-    );
-    ir.rebind_alloc_sites(&spans, source);
-    Ok((ir, ckey))
+    Ok(ir)
+}
+
+thread_local! {
+    /// The calling thread's last untraced build: source text, options, IR.
+    static LAST_BUILD: RefCell<Option<(String, CompileOptions, ProgramIr)>> =
+        const { RefCell::new(None) };
+}
+
+static COMPILE_MEMO: MemoCounters = MemoCounters::new("compile");
+
+/// Hit and miss counts of one last-build memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Which memo: `"compile"` (here) or `"asm"` (the facade's).
+    pub stage: &'static str,
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that had to build.
+    pub misses: u64,
+}
+
+/// Process-wide hit/miss counters of one memo. The memos themselves are
+/// per thread; the counters add up every thread's lookups and survive
+/// clearing.
+#[derive(Debug)]
+pub struct MemoCounters {
+    stage: &'static str,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl MemoCounters {
+    /// Zeroed counters for the memo named `stage`.
+    pub const fn new(stage: &'static str) -> Self {
+        MemoCounters {
+            stage,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Counts one lookup.
+    pub fn record(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The counts so far.
+    pub fn stats(&self) -> MemoStats {
+        MemoStats {
+            stage: self.stage,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Counts of the untraced-build memo behind [`compile_traced`].
+pub fn compile_memo_stats() -> MemoStats {
+    COMPILE_MEMO.stats()
+}
+
+/// Forgets the calling thread's last build (the counts stay). Results
+/// never change, only compile time does.
+pub fn compile_memo_clear() {
+    LAST_BUILD.set(None);
 }
 
 /// Runs a compiled program.

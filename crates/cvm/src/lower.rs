@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// Lowering options.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LowerOptions {
     /// `-g` regime: every local variable gets a frame slot and every
     /// access goes through memory.
@@ -1694,9 +1694,8 @@ impl<'a, 'b> FuncCx<'a, 'b> {
             Some(self.temp())
         };
         // Allocation builtins get an allocation-site record keyed by the
-        // id and span of the whole call expression; line/col are bound to
-        // the requesting source once compilation finishes (see
-        // `ProgramIr::rebind_alloc_sites`).
+        // span of the whole call expression; line/col are resolved once
+        // the source text is in hand (`ProgramIr::resolve_alloc_sites`).
         let primitive = match &target {
             CallTarget::Builtin(cfront::sema::Builtin::Malloc) => Some("malloc"),
             CallTarget::Builtin(cfront::sema::Builtin::Calloc) => Some("calloc"),
@@ -1708,7 +1707,6 @@ impl<'a, 'b> FuncCx<'a, 'b> {
             self.prog.alloc_sites.push(AllocSite {
                 func: self.func.name.clone(),
                 primitive,
-                node: whole.id,
                 span_start: whole.span.start,
                 line: 0,
                 col: 0,

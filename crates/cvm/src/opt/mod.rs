@@ -71,7 +71,7 @@ use std::collections::HashMap;
 /// Optimizer configuration: one enable flag per gated pass, so the
 /// fuzzer's five-mode oracle can bisect a divergence to the pass that
 /// introduced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptOptions {
     /// Master switch (false = `-g`-style unoptimized code).
     pub enabled: bool,

@@ -9,8 +9,8 @@
 //! 2. **Permille floor** — a budgeted `<name>_floor_permille` checks the
 //!    candidate's `<name>_permille` field: below the floor fails. MMU
 //!    floors (`mmu_10ms_floor_permille`) catch the collector eating more
-//!    of the mutator's time; cache floors (`hit_rate_floor_permille`)
-//!    catch warm passes that stopped hitting.
+//!    of the mutator's time; optimizer floors (`saved_floor_permille`)
+//!    catch a pass that stopped saving cycles.
 //! 3. **Noise gate** (only with a baseline) — the candidate's
 //!    `max_pause_ns` may exceed the baseline median by at most
 //!    `max(k·MAD, rel_slack, abs_slack)`; see [`crate::budgets::Gate`].

@@ -19,12 +19,11 @@
 
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
 
 pub use asmpost::{AsmFunc, CostReport, Machine, PeepholeStats};
-pub use cvm::{CompileOptions, ExecOutcome, ProgramIr, VmError, VmOptions};
-pub use gccache::StageStats;
+pub use cvm::{CompileOptions, ExecOutcome, MemoStats, ProgramIr, VmError, VmOptions};
 pub use gcprof::{
     encode_buckets, prom, HeapCensus, Histogram, ProfData, ProfHandle, PromWriter, SiteStats,
     MMU_WINDOWS_NS,
@@ -158,35 +157,51 @@ pub fn measure_source(source: &str, input: &[u8], mode: Mode) -> Result<Measured
     measure_source_observed(source, input, mode, &Observe::default())
 }
 
-/// The per-machine assembly cache: pristine code-generator output keyed
-/// by the compilation key (structural program hash + options fingerprint,
-/// from [`cvm::compile_keyed_traced`]) and machine name. The peephole
-/// postprocessor mutates assembly in place and emits trace events, so
-/// only *un*-postprocessed output is memoized; postprocessing re-runs on
-/// every build, keeping hits byte-identical to cold runs.
-type AsmKey = (u64, &'static str);
+/// Source text, options, and the pristine code-generator output built
+/// from them: one listing per machine in [`Machine::all`] order.
+type AsmBuild = (String, CompileOptions, Vec<Vec<AsmFunc>>);
 
-fn asm_cache() -> &'static gccache::Cache<AsmKey, Arc<Vec<AsmFunc>>> {
-    static CACHE: OnceLock<gccache::Cache<AsmKey, Arc<Vec<AsmFunc>>>> = OnceLock::new();
-    CACHE.get_or_init(|| gccache::Cache::new("asm", 512))
+thread_local! {
+    /// The calling thread's last [`AsmBuild`]. The peephole postprocessor
+    /// mutates assembly in place and emits trace events, so only
+    /// *un*-postprocessed output is kept; postprocessing runs on a copy on
+    /// every build.
+    static LAST_ASM: RefCell<Option<AsmBuild>> = const { RefCell::new(None) };
 }
 
-/// Counter snapshots for every compilation cache in the pipeline, in
-/// stage order: `annotate`, `lower`, `compile`, `asm`. Counters are
-/// cumulative for the process and — like wall-clock timings — are *not*
-/// deterministic across `--jobs` levels (racing workers may both miss the
-/// same key), so exports treat them as timing-class data.
-pub fn cache_stats() -> Vec<StageStats> {
-    let mut stats = cvm::pipeline_cache_stats();
-    stats.push(asm_cache().stats());
-    stats
+static ASM_MEMO: cvm::MemoCounters = cvm::MemoCounters::new("asm");
+
+/// [`asmpost::codegen_program`] for every machine, through the asm memo.
+fn pristine_asm(source: &str, options: &CompileOptions, prog: &ProgramIr) -> Vec<Vec<AsmFunc>> {
+    let hit = LAST_ASM.with_borrow(|last| match last {
+        Some((s, o, asm)) if s == source && o == options => Some(asm.clone()),
+        _ => None,
+    });
+    ASM_MEMO.record(hit.is_some());
+    hit.unwrap_or_else(|| {
+        let asm: Vec<_> = Machine::all()
+            .iter()
+            .map(|m| asmpost::codegen_program(prog, m))
+            .collect();
+        LAST_ASM.set(Some((source.to_string(), options.clone(), asm.clone())));
+        asm
+    })
 }
 
-/// Drops every memoized compilation artifact, pipeline-wide (counters
-/// are preserved). Results never change — only compile time does.
+/// Hit and miss counts of the two last-build memos, `compile` (the IR,
+/// see [`cvm::compile_traced`]) and `asm` (per-machine code-generator
+/// output). The memos are per thread; the counts add up every thread's
+/// lookups, are cumulative for the process, and depend on how cells were
+/// scheduled, so exports treat them as timing-class data.
+pub fn cache_stats() -> Vec<MemoStats> {
+    vec![cvm::compile_memo_stats(), ASM_MEMO.stats()]
+}
+
+/// Forgets the calling thread's last builds (the counts stay). Results
+/// never change, only compile time does.
 pub fn cache_clear() {
-    cvm::pipeline_cache_clear();
-    asm_cache().clear();
+    cvm::compile_memo_clear();
+    LAST_ASM.set(None);
 }
 
 /// [`measure_source`] under `observe` (see [`Observe`]). When both
@@ -197,8 +212,9 @@ pub fn cache_clear() {
 /// wall-clock data, so they are byte-identical across repeated runs and
 /// any `--jobs` level.
 ///
-/// Compilation is served from the process-global content-hashed cache
-/// (see [`cache_stats`]); hits are byte-identical to cold compiles.
+/// A build of the same text and options as the thread's last one reuses
+/// its IR and code-generator output (see [`cache_stats`]); a reused build
+/// is identical to a fresh one.
 ///
 /// # Errors
 ///
@@ -210,7 +226,8 @@ pub fn measure_source_observed(
     observe: &Observe,
 ) -> Result<Measured, String> {
     let Observe { trace, prof, snap } = observe;
-    let (prog, ckey) = cvm::compile_keyed_traced(source, &mode.compile_options(), trace)?;
+    let options = mode.compile_options();
+    let prog = cvm::compile_traced(source, &options, trace)?;
     let vm_opts = VmOptions {
         input: input.to_vec(),
         trace: trace.clone(),
@@ -221,16 +238,8 @@ pub fn measure_source_observed(
     let outcome = cvm::run_compiled(&prog, &vm_opts);
     let mut costs = BTreeMap::new();
     let mut peephole = None;
-    for machine in Machine::all() {
-        let akey = (ckey, machine.name);
-        let mut asm = match asm_cache().get(&akey) {
-            Some(asm) => (*asm).clone(),
-            None => {
-                let asm = asmpost::codegen_program(&prog, &machine);
-                asm_cache().insert(akey, Arc::new(asm.clone()));
-                asm
-            }
-        };
+    let asms = pristine_asm(source, &options, &prog);
+    for (machine, mut asm) in Machine::all().into_iter().zip(asms) {
         // The `-O` baseline is postprocessed as well: gcc's -O2 output (the
         // paper's baseline) is already peephole-clean, while our one-pass
         // code generator leaves generic copy/fusion slack that would
